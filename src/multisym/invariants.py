@@ -2,8 +2,13 @@
 multisymmetric polynomials, and the divided-power / shuffle calculus.
 
 The symmetric group on rows acts on the variable matrix by permuting rows;
-the invariant subring is the ring of multisymmetric polynomials.  Working
-elements:
+the invariant subring is the ring of multisymmetric polynomials.  A row
+orbit of monomials is the multiset of their row-exponent vectors, and its
+key is that multiset as a sorted tuple of equal-width rows.  The key gives
+the graded-lex orbit minimum (the rows in ascending order), the orbit
+itself (the distinct arrangements of the rows) and the orbit size
+(nrows! over the factorials of the row multiplicities), so no operation
+here runs through all nrows! row permutations.  Working elements:
 
 * orbit sum T_m:   sum of the distinct monomials in the row orbit of m.
 * power sum M_alpha:   sum over rows r of prod_c x[r,c]^alpha_c.
@@ -21,8 +26,12 @@ d+e available slots in all order-preserving ways.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations
+from math import factorial
+from typing import Iterator
 
 from .exptuples import ExpTuple, degree as tdeg, exp_tuple, length as tlen
 from .poly import Monomial, Poly
@@ -31,47 +40,80 @@ from .poly import Monomial, Poly
 TENSOR_DEGREE_MARGIN = 4
 
 
-_ROW_MAPS: dict[int, list[dict[int, int]]] = {}
 _ORBIT_MIN_CACHE: dict[tuple, Monomial] = {}
 
 
-def _row_maps(nrows: int) -> list[dict[int, int]]:
-    maps = _ROW_MAPS.get(nrows)
-    if maps is None:
-        maps = [
-            {i + 1: perm[i] for i in range(nrows)}
-            for perm in permutations(range(1, nrows + 1))
-        ]
-        _ROW_MAPS[nrows] = maps
-    return maps
+def orbit_key(m: Monomial, nrows: int) -> tuple[tuple[int, ...], ...]:
+    """The row multiset of m: its `nrows` row-exponent vectors, padded to
+    the width of m, in ascending order.  Equal keys mean one row orbit."""
+    if m.max_row > nrows:
+        raise ValueError(f"monomial {m} does not fit in {nrows} rows")
+    rows = [[0] * m.max_col for _ in range(nrows)]
+    for r, c, e in m.exps:
+        rows[r - 1][c - 1] = e
+    return tuple(sorted(map(tuple, rows)))
+
+
+def rows_monomial(rows) -> Monomial:
+    """The monomial whose row r has the exponent vector rows[r-1]."""
+    return Monomial(tuple((r, c, e) for r, row in enumerate(rows, start=1)
+                          for c, e in enumerate(row, start=1) if e))
+
+
+def _arrangements(rows: tuple) -> Iterator[tuple]:
+    """Each distinct ordering of the sorted tuple `rows` once."""
+    if len(rows) <= 1:
+        yield rows
+        return
+    for i, row in enumerate(rows):
+        if i == 0 or row != rows[i - 1]:
+            for rest in _arrangements(rows[:i] + rows[i + 1:]):
+                yield (row,) + rest
 
 
 def row_orbit(m: Monomial, nrows: int) -> set[Monomial]:
-    """Distinct images of m under all row permutations."""
-    return {m.map_rows(mapping) for mapping in _row_maps(nrows)}
+    """Distinct images of m under all row permutations: one per distinct
+    arrangement of its row multiset."""
+    return {rows_monomial(rows) for rows in _arrangements(orbit_key(m, nrows))}
+
+
+@lru_cache(maxsize=None)
+def orbit_size(m: Monomial, nrows: int) -> int:
+    """Size of the row orbit of m: nrows! over the factorials of the row
+    multiplicities."""
+    size = factorial(nrows)
+    for k in Counter(orbit_key(m, nrows)).values():
+        size //= factorial(k)
+    return size
 
 
 def orbit_sum(m: Monomial, p: int, nrows: int | None = None) -> Poly:
     """Sum of the distinct monomials in the row orbit of m, coefficient 1."""
     rows = p if nrows is None else nrows
-    if m.max_row > rows:
-        raise ValueError(f"monomial {m} does not fit in {rows} rows")
     return Poly(p, rows, {mm: 1 for mm in row_orbit(m, rows)})
 
 
-def orbit_min(m: Monomial, nrows: int, width: int = 0) -> Monomial:
-    """Canonical orbit representative: graded-lex minimum over row moves.
-
-    The winner does not depend on the padding width (the position order
-    (r,c) is what matters), so results are cached per (monomial, nrows).
-    """
+def orbit_min(m: Monomial, nrows: int) -> Monomial:
+    """Canonical orbit representative: the graded-lex minimum of the row
+    orbit, which is m with its rows sorted ascending."""
     key = (m.exps, nrows)
     rep = _ORBIT_MIN_CACHE.get(key)
     if rep is None:
-        w = max(width, m.max_col, 1)
-        rep = min(row_orbit(m, nrows), key=lambda mm: mm.sort_key(nrows, w))
-        _ORBIT_MIN_CACHE[key] = rep
+        rep = _ORBIT_MIN_CACHE[key] = rows_monomial(orbit_key(m, nrows))
     return rep
+
+
+def orbit_coefficients(f: Poly) -> dict[Monomial, int] | None:
+    """f over the orbit-sum basis, as orbit representative -> coefficient,
+    or None when f is not row invariant."""
+    coeffs: dict[Monomial, int] = {}
+    for m, c in f.terms.items():
+        if coeffs.setdefault(orbit_min(m, f.nrows), c) != c:
+            return None
+    # each orbit holds at most orbit_size terms, so equal totals mean full orbits
+    if sum(orbit_size(rep, f.nrows) for rep in coeffs) != len(f.terms):
+        return None
+    return coeffs
 
 
 def row_monomial(alpha: ExpTuple, r: int) -> Monomial:

@@ -27,7 +27,7 @@ from .errors import SelfCheckError
 from .exptuples import (
     ExpTuple, add_at, degree as tdeg, entry, exp_tuple, length as tlen,
 )
-from .invariants import elementary, orbit_sum, power_sum, row_orbit
+from .invariants import elementary, orbit_coefficients, orbit_sum, power_sum
 from .poly import Monomial, Poly
 
 # Brute-force validation of the polarization closed form is only run for
@@ -326,20 +326,16 @@ def frobenius_split(f: Poly) -> Poly:
     degree d/p output or zero.  Raises when f is not row invariant, since
     the orbit decomposition does not exist.
     """
+    coeffs = orbit_coefficients(f)
+    if coeffs is None:
+        raise ValueError(
+            "frobenius_split needs a row-invariant input; some row orbit "
+            "has mixed coefficients"
+        )
     p = f.char
     result = Poly.zero(p, f.nrows)
-    seen: set[Monomial] = set()
-    for m, c in f.terms.items():
-        if m in seen:
-            continue
-        orbit = row_orbit(m, f.nrows)
-        seen |= orbit
-        if any(f.terms.get(mm, 0) != c for mm in orbit):
-            raise ValueError(
-                "frobenius_split needs a row-invariant input; orbit of "
-                f"{m} has mixed coefficients"
-            )
-        root = m.root(p)
+    for rep, c in coeffs.items():
+        root = rep.root(p)
         if root is not None:
             result = result + orbit_sum(root, p, f.nrows) * c
     return result

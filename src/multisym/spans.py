@@ -1,11 +1,12 @@
 """Graded GF(p) linear algebra over spaces of row invariants.
 
 Every subspace computation here works degree by degree.  Invariant
-polynomials are coordinatized over the orbit-sum basis: the coordinate
-columns are the canonical (graded-lex minimal) representatives of the row
-orbits of monomials, which cuts the ambient dimension by roughly the order
-of the row group and keeps pivots canonical.  Echelon forms are reduced,
-so span membership is a single pass of back-substitution.
+polynomials are coordinatized over the orbit-sum basis: one coordinate
+column per row orbit, that is per multiset of p row-exponent vectors.
+Columns are enumerated directly as nondecreasing tuples of rows, named by
+the orbit's graded-lex minimal monomial (the rows in ascending order) and
+listed in graded-lex order, so pivots are canonical.  Echelon forms are
+reduced, so span membership is a single pass of back-substitution.
 
 A SpanBasis can optionally track, for every echelon row, its expression
 over the raw candidate polynomials that were inserted; this is what lets
@@ -19,18 +20,18 @@ scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 
 import numpy as np
 
 from .errors import CapExceeded
 from .exptuples import ExpTuple, degree as tdeg, exp_tuple, length as tlen, scale
 from .invariants import (
-    elementary, elementary_column, is_invariant, orbit_min, orbit_sum,
-    power_sum, row_orbit,
+    elementary, elementary_column, is_invariant, orbit_coefficients, orbit_sum,
+    power_sum, row_orbit, rows_monomial,
 )
 from .operators import polarize_raw
-from .poly import Monomial, Poly, grlex_key, iter_monomials
+from .poly import Monomial, Poly
 
 DEFAULT_CAP = 20000
 
@@ -53,35 +54,44 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def iter_multidegree_monomials(nrows: int, coldegs: tuple[int, ...]):
-    """Monomials whose column degree vector is exactly `coldegs`."""
-    def rec(col: int, acc: list[tuple[int, int, int]]):
-        if col == len(coldegs):
-            yield Monomial(tuple(sorted(acc)))
+def _row_multisets(nrows: int, coldegs: tuple[int, ...]):
+    """Every multiset of `nrows` row vectors whose sum is `coldegs`, as its
+    ascending tuple of rows, in lexicographic order."""
+    def rec(k: int, lo: tuple[int, ...], rest: tuple[int, ...]):
+        if k == 1:
+            if rest >= lo:
+                yield (rest,)
             return
-        for split in _compositions(coldegs[col], nrows):
-            added = [
-                (r + 1, col + 1, e) for r, e in enumerate(split) if e
-            ]
-            yield from rec(col + 1, acc + added)
-    yield from rec(0, [])
+        # this row is the least of the k rows left, which all lead with at
+        # least its first entry, so that entry is at most rest[0] // k
+        heads = range(lo[0], rest[0] // k + 1)
+        for row in product(heads, *(range(e + 1) for e in rest[1:])):
+            if row >= lo:
+                left = tuple(a - b for a, b in zip(rest, row))
+                for tail in rec(k - 1, row, left):
+                    yield (row,) + tail
+
+    if nrows == 0 or not coldegs:
+        if not any(coldegs):
+            yield (coldegs,) * nrows
+        return
+    yield from rec(nrows, (0,) * len(coldegs), coldegs)
 
 
 def orbit_reps(char: int, nrows: int, width: int, deg: int) -> list[Monomial]:
-    """Canonical representatives of the row orbits of degree-`deg` monomials."""
-    reps = {
-        orbit_min(m, nrows, width) for m in iter_monomials(nrows, width, deg)
-    }
-    return sorted(reps, key=lambda m: grlex_key(m, nrows, max(width, 1)))
+    """Canonical representatives of the row orbits of degree-`deg`
+    monomials, in graded-lex order: one sorted row multiset per orbit."""
+    keys = [
+        rows for coldegs in _compositions(deg, width)
+        for rows in _row_multisets(nrows, coldegs)
+    ]
+    return [rows_monomial(rows) for rows in sorted(keys)]
 
 
 def orbit_reps_multidegree(nrows: int, coldegs: tuple[int, ...]) -> list[Monomial]:
-    width = max(len(coldegs), 1)
-    reps = {
-        orbit_min(m, nrows, width)
-        for m in iter_multidegree_monomials(nrows, coldegs)
-    }
-    return sorted(reps, key=lambda m: grlex_key(m, nrows, width))
+    """Canonical representatives of the row orbits of monomials with column
+    degrees exactly `coldegs`, in graded-lex order."""
+    return [rows_monomial(rows) for rows in _row_multisets(nrows, tuple(coldegs))]
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +129,6 @@ class SpanBasis:
         self.track = track
         self.labels: list = []
         self.combos: list[dict[int, int]] = []
-        self._orbit_size = {m: len(row_orbit(m, nrows)) for m in reps}
 
     @property
     def dim(self) -> int:
@@ -144,26 +153,23 @@ class SpanBasis:
             raise ValueError(
                 f"degree mismatch: basis is graded in degree {self.degree}"
             )
-        coeffs: dict[Monomial, int] = {}
-        counts: dict[Monomial, int] = {}
-        for m, c in f.terms.items():
-            rep = orbit_min(m, self.nrows, self.width)
-            if rep not in self.index:
-                return None
-            if coeffs.setdefault(rep, c) != c:
-                return None
-            counts[rep] = counts.get(rep, 0) + 1
+        coeffs = orbit_coefficients(f)
+        if coeffs is None:
+            return None
         for rep, c in coeffs.items():
-            if counts[rep] != self._orbit_size[rep]:
+            j = self.index.get(rep)
+            if j is None:
                 return None
-            vec[self.index[rep]] = c
+            vec[j] = c
         return vec
 
     def poly_of(self, vec: np.ndarray) -> Poly:
-        total = Poly.zero(self.char, self.nrows)
-        for j in np.nonzero(vec)[0]:
-            total = total + orbit_sum(self.reps[j], self.char, self.nrows) * int(vec[j])
-        return total
+        """The invariant with orbit-basis coordinates `vec`; orbits are
+        disjoint, so each monomial takes its orbit's coordinate."""
+        return Poly(self.char, self.nrows, {
+            m: int(vec[j]) for j in np.nonzero(vec)[0]
+            for m in row_orbit(self.reps[j], self.nrows)
+        })
 
     def row_poly(self, idx: int) -> Poly:
         return self.poly_of(self.rows[idx])
@@ -383,16 +389,13 @@ def in_p_algebra(f: Poly, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...],
     if not is_invariant(f):
         return None
     p = f.char
-    components: dict[tuple[int, ...], Poly] = {}
+    components: dict[tuple[int, ...], dict[Monomial, int]] = {}
     width = max(f.max_col, 1)
     for m, c in f.terms.items():
-        key = m.column_degrees(width)
-        comp = components.get(key)
-        add = Poly(p, f.nrows, {m: c})
-        components[key] = add if comp is None else comp + add
+        components.setdefault(m.column_degrees(width), {})[m] = c
     out = []
     for coldegs in sorted(components):
-        comp = components[coldegs]
+        comp = Poly(p, f.nrows, components[coldegs])
         basis = p_multidegree_span(coldegs, p, cap=cap, stop_when_contains=comp)
         combo = basis.contains_combo(comp)
         if combo is None:

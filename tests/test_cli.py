@@ -6,7 +6,7 @@ from multisym.cli import main
 from multisym.expressions import ParseError, parse_expression, recognize
 from multisym.invariants import elementary, power_sum
 from multisym.operators import frobenius_split
-from multisym.poly import Poly
+from multisym.poly import Monomial, Poly
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +149,62 @@ def test_mingens_csv(capsys):
     assert lines[0] == "p,n,degree,dim_gamma,dim_P,dim_square,dim_quotient,predicted_count,match"
     assert lines[2] == "2,2,2,6,6,3,3,3,true"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+MINGENS_HEADER = "p,n,degree,dim_gamma,dim_P,dim_square,dim_quotient,predicted_count,match"
+
+
+@pytest.mark.parametrize("p,width,max_degree,rows", [
+    (5, 2, 4, ["5,2,1,2,2,0,2,2,true", "5,2,2,6,6,3,3,3,true",
+               "5,2,3,14,14,10,4,4,true", "5,2,4,33,33,28,5,5,true"]),
+    (5, 3, 3, ["5,3,1,3,3,0,3,3,true", "5,3,2,12,12,6,6,6,true",
+               "5,3,3,38,38,28,10,10,true"]),
+    (7, 1, 3, ["7,1,1,1,1,0,1,1,true", "7,1,2,2,2,1,1,1,true",
+               "7,1,3,3,3,2,1,1,true"]),
+    (11, 1, 2, ["11,1,1,1,1,0,1,1,true", "11,1,2,2,2,1,1,1,true"]),
+])
+def test_mingens_csv_larger_primes(capsys, p, width, max_degree, rows):
+    # the p <= 7 rows are the output of the permutation-based orbit code;
+    # the p = 11 rows (orbits x^2 and x*y in degree 2) are checked by hand
+    code, out, _ = run_cli(
+        capsys, "mingens", "--p", str(p), "--width", str(width),
+        "--max-degree", str(max_degree), "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [MINGENS_HEADER] + rows
+
+
+def test_large_primes_finish(capsys):
+    # each of these built all p! row permutations before orbits were keyed
+    # by row multisets, which does not fit in memory at p = 11
+    code, out, _ = run_cli(capsys, "eval", "E(2)", "--p", "11", "--width", "1")
+    assert code == 0
+    e2 = Poly(11, 11, {
+        Monomial.of([(i, 1, 1), (j, 1, 1)]): 1
+        for i in range(1, 12) for j in range(i + 1, 12)
+    })
+    assert out.splitlines() == [e2.text(), "recognized: E(2)"]
+
+    code, out, _ = run_cli(capsys, "eval", "frobenius(M(1,1))", "--p", "13",
+                           "--width", "2")
+    assert code == 0
+    assert out.splitlines() == [power_sum((13, 13), 13, 2).text(),
+                                "recognized: M(13,13)"]
+
+    code, out, _ = run_cli(capsys, "member", "E(1,1)*M(1)", "--p", "11",
+                           "--width", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "expr: E(1,1)*M(1)",
+        "in invariant ring: true",
+        "in polarization algebra: true",
+        "orbit-sum coordinates:",
+        "  1 * T[x[10,1] * x[11,1] * x[11,2]]",
+        "  2 * T[x[9,2] * x[10,1] * x[11,1]]",
+        "  1 * T[x[10,2] * x[11,1]^2]",
+        "generator combination:",
+        "  1 * E(1,1) * E(1)",
+    ]
 
 
 def test_mingens_text_and_json(capsys):
