@@ -126,15 +126,10 @@ def cmd_member(cfg: RunConfig, args) -> int:
     in_gamma = is_invariant(poly)
     orbit_coords = None
     if in_gamma and not poly.is_zero:
-        groups: dict[str, int] = {}
-        seen = set()
+        orbit_coords = {}
         for m, c in sorted(poly.terms.items(),
                            key=lambda item: item[0].exps):
-            rep = orbit_min(m, poly.nrows)
-            if rep not in seen:
-                seen.add(rep)
-                groups[rep.text()] = c
-        orbit_coords = groups
+            orbit_coords.setdefault(orbit_min(m, poly.nrows).text(), c)
     membership = in_p_algebra(poly, cap=cfg.cap) if in_gamma else None
     in_p = membership is not None
     combination = None

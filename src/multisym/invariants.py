@@ -169,11 +169,8 @@ def elementary_column(i: int, col: int, p: int, width: int | None = None) -> Pol
 
 
 def is_invariant(f: Poly) -> bool:
-    """True iff f is fixed by every adjacent row transposition."""
-    for i in range(1, f.nrows):
-        if f.swap_rows(i, i + 1) != f:
-            return False
-    return True
+    """True iff every row permutation fixes f, read off its orbit coordinates."""
+    return orbit_coefficients(f) is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +229,9 @@ def gamma(d: int, s: Poly, width: int | None = None) -> SymTensor:
         raise ValueError("gamma expects a polynomial in a single row")
     _check_tensor_degree(d, s.char)
     w = width if width is not None else max(s.max_col, 1)
-    if d == 0:
-        return SymTensor(0, w, Poly.one(s.char, 0))
     body = Poly.one(s.char, d)
     for r in range(1, d + 1):
-        copy = Poly(s.char, d, dict(s.map_rows({1: r}).terms))
-        body = body * copy
+        body = body * s.map_rows({1: r}, d)
     return SymTensor(d, w, body)
 
 
@@ -260,7 +254,7 @@ def shuffle(x: SymTensor, y: SymTensor) -> SymTensor:
         rest = [k for k in range(1, d + e + 1) if k not in slots]
         xmap = {i + 1: slots[i] for i in range(d)}
         ymap = {i + 1: rest[i] for i in range(e)}
-        xb = Poly(p, d + e, dict(x.body.map_rows(xmap).terms))
-        yb = Poly(p, d + e, dict(y.body.map_rows(ymap).terms))
+        xb = x.body.map_rows(xmap, d + e)
+        yb = y.body.map_rows(ymap, d + e)
         total = total + xb * yb
     return SymTensor(d + e, x.width, total)

@@ -194,11 +194,7 @@ def polarize_raw(f: Poly, a: int, b: int, i: int) -> Poly:
                     shifted[(r, a)] -= k
                     shifted[(r, b)] = shifted.get((r, b), 0) + k
                 mm = Monomial.of((r, c, e) for (r, c), e in shifted.items())
-                s = (out.get(mm, 0) + coeff * factor) % p
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
+                out[mm] = out.get(mm, 0) + coeff * factor
                 return
             if idx == len(rows):
                 return

@@ -6,6 +6,8 @@ monomial stores only its nonzero exponents, as a tuple of (row, col, exp)
 triples sorted by (row, col); rows and columns are 1-based.  A polynomial
 maps monomials to nonzero coefficients reduced into {1, ..., p-1}, so two
 polynomials are equal iff their term maps are equal (canonical form).
+The `Poly` constructor is the one place that reduces coefficients mod p
+and drops zero terms; operations hand it raw integer sums.
 
 The canonical monomial order is graded lexicographic on the row-major
 exponent vector: lower total degree first, ties broken by reading the
@@ -181,9 +183,10 @@ class Poly:
 
     `char` is the coefficient prime p; `nrows` is the number of matrix rows
     (the tensor degree of the ambient ring).  The term map never stores a
-    zero coefficient, and coefficients live in {1, ..., p-1}.  Instances are
-    treated as immutable: every operation returns a fresh Poly, so values
-    can be shared freely.
+    zero coefficient, and coefficients live in {1, ..., p-1}; the
+    constructor alone reduces them, so `terms` may hold any integers.
+    Instances are treated as immutable: every operation returns a fresh
+    Poly, so values can be shared freely.
     """
 
     __slots__ = ("char", "nrows", "terms")
@@ -245,18 +248,12 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
         out = dict(self.terms)
-        p = self.char
         for m, c in other.terms.items():
-            s = (out.get(m, 0) + c) % p
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(p, self.nrows, out)
+            out[m] = out.get(m, 0) + c
+        return Poly(self.char, self.nrows, out)
 
     def __neg__(self) -> "Poly":
-        p = self.char
-        return Poly(p, self.nrows, {m: p - c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -265,17 +262,12 @@ class Poly:
         if isinstance(other, int):
             return self.scale(other)
         self._check_compatible(other)
-        p = self.char
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = ma.mul(mb)
-                s = (out.get(m, 0) + ca * cb) % p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(p, self.nrows, out)
+                out[m] = out.get(m, 0) + ca * cb
+        return Poly(self.char, self.nrows, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -283,13 +275,8 @@ class Poly:
         return NotImplemented
 
     def scale(self, k: int) -> "Poly":
-        k %= self.char
-        if k == 0:
-            return Poly.zero(self.char, self.nrows)
-        return Poly(
-            self.char, self.nrows,
-            {m: (c * k) % self.char for m, c in self.terms.items()},
-        )
+        return Poly(self.char, self.nrows,
+                    {m: c * k for m, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -354,34 +341,29 @@ class Poly:
 
     # -- row and column actions ---------------------------------------------
 
-    def map_rows(self, mapping: dict[int, int]) -> "Poly":
+    def map_rows(self, mapping: dict[int, int], nrows: int) -> "Poly":
+        """Relabel rows into an `nrows`-row matrix (a term landing past it
+        raises ValueError); rows absent from the mapping keep their label."""
         out: dict[Monomial, int] = {}
-        p = self.char
         for m, c in self.terms.items():
             mm = m.map_rows(mapping)
-            out[mm] = (out.get(mm, 0) + c) % p
-        return Poly(p, max(self.nrows, max(mapping.values(), default=0)), out)
-
-    def swap_rows(self, i: int, j: int) -> "Poly":
-        swapped = self.map_rows({i: j, j: i})
-        return Poly(self.char, self.nrows, swapped.terms)
+            out[mm] = out.get(mm, 0) + c
+        return Poly(self.char, nrows, out)
 
     def map_cols(self, mapping: dict[int, int]) -> "Poly":
         out: dict[Monomial, int] = {}
-        p = self.char
         for m, c in self.terms.items():
             mm = m.map_cols(mapping)
-            out[mm] = (out.get(mm, 0) + c) % p
-        return Poly(p, self.nrows, out)
+            out[mm] = out.get(mm, 0) + c
+        return Poly(self.char, self.nrows, out)
 
     def scale_column(self, c: int, lam: int) -> "Poly":
         """Substitute x[r,c] -> lam*x[r,c] in every row r."""
-        p = self.char
         out: dict[Monomial, int] = {}
         for m, coeff in self.terms.items():
             col_deg = sum(e for _, cc, e in m.exps if cc == c)
-            out[m] = (coeff * pow(lam % p, col_deg, p)) % p
-        return Poly(p, self.nrows, out)
+            out[m] = coeff * pow(lam, col_deg, self.char)
+        return Poly(self.char, self.nrows, out)
 
     # -- serialization -------------------------------------------------------
 

@@ -303,9 +303,6 @@ def p_algebra_span(deg: int, width: int, p: int, cap: int = DEFAULT_CAP,
     total degree `deg` at the given width.  Labels (when tracked) are the
     factor multisets, so membership queries can report explicit products."""
     basis = SpanBasis(p, p, deg, width, cap=cap, track=track)
-    if deg == 0:
-        basis.insert_poly(Poly.one(p, p), label=())
-        return basis
     gens = p_algebra_generators(width, p)
     ecache: dict[ExpTuple, Poly] = {}
 
@@ -607,7 +604,7 @@ def embed_one_row(f: Poly, p: int) -> Poly:
     embedding of single-row polynomials into row invariants."""
     total = Poly.zero(p, p)
     for r in range(1, p + 1):
-        total = total + Poly(p, p, dict(f.map_rows({1: r}).terms))
+        total = total + f.map_rows({1: r}, p)
     return total
 
 

@@ -116,7 +116,7 @@ def witness_check(gen_degree: int, n_ones: int, p: int,
     not_in_square = sq.contains(m_omega) is None
 
     # (b) its p-th power carries a verified membership certificate
-    cert = certify_pth_power(omega, p, width=n)
+    cert = certify_pth_power(omega, p, width=n, verify_on_build=False)
     certified = verify(cert)
     target = power_sum(scale(omega, p), p, n)
     oracle = in_p_algebra(target, cap=cap) is not None
@@ -125,9 +125,12 @@ def witness_check(gen_degree: int, n_ones: int, p: int,
     slice_with = ideal_truncation_span(
         gen_degree, p * n_ones, n, p, include_generators=True, cap=cap
     )
-    slice_without = ideal_truncation_span(
-        gen_degree, p * n_ones, n, p, include_generators=False, cap=cap
-    )
+    # generators have degree p*|alpha| <= p*d: below p*N they add nothing
+    slice_without = slice_with
+    if degenerate:
+        slice_without = ideal_truncation_span(
+            gen_degree, p * n_ones, n, p, include_generators=False, cap=cap
+        )
     not_in_with = slice_with.contains(target) is None
     not_in_without = slice_without.contains(target) is None
 

@@ -1,6 +1,8 @@
 """Differential tests: orbit operations on sorted row multisets against the
 permutation-based reference that pushes a monomial through all p! row
-maps.  The reference is only affordable for p <= 5."""
+maps, and the invariance test on orbit coordinates against the reference
+that compares f with each adjacent row swap of it.  The references are
+only affordable for p <= 5."""
 
 import random
 from itertools import permutations
@@ -8,10 +10,12 @@ from itertools import permutations
 import pytest
 
 from multisym.invariants import (
-    orbit_coefficients, orbit_key, orbit_min, orbit_size, orbit_sum, row_orbit,
+    SymTensor, gamma, is_invariant, orbit_coefficients, orbit_key, orbit_min,
+    orbit_size, orbit_sum, row_orbit, shuffle,
 )
 from multisym.operators import frobenius_split
 from multisym.poly import Monomial, Poly, frobenius, grlex_key, iter_monomials
+from multisym.selftest import random_invariant, random_one_row, random_poly
 from multisym.spans import _compositions, orbit_reps, orbit_reps_multidegree
 
 
@@ -49,6 +53,14 @@ def ref_frobenius_split(f: Poly) -> Poly:
         if root is not None:
             result = result + orbit_sum(root, p, f.nrows) * c
     return result
+
+
+def ref_is_invariant(f: Poly) -> bool:
+    """True iff f is fixed by every adjacent row transposition."""
+    return all(
+        f.map_rows({i: i + 1, i + 1: i}, f.nrows) == f
+        for i in range(1, f.nrows)
+    )
 
 
 def random_monomial(rng: random.Random, nrows: int, width: int, max_exp: int) -> Monomial:
@@ -132,3 +144,51 @@ def test_large_prime_orbit_sizes():
     assert orbit_min(m, 11) == Monomial.of([(9, 2, 2), (10, 1, 1), (11, 1, 1)])
     # multisets of nonzero vectors in N^2 of total degree 3: 4 + 3*2 + 4
     assert len(orbit_reps(11, 11, 2, 3)) == 14
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_invariant_matches_swap_reference(p):
+    rng = random.Random(100 + p)
+    invariants = [orbit_sum(random_monomial(rng, p, 2, 3), p) for _ in range(40)]
+    invariants += [random_invariant(rng, p, 2, 4, 4) for _ in range(40)]
+    verdicts = []
+    for f in invariants:
+        assert is_invariant(f) and ref_is_invariant(f)
+        if f.is_zero:
+            continue
+        # one coefficient changed, or one monomial dropped: the result stays
+        # invariant only when that monomial's orbit is the monomial alone
+        m = rng.choice(sorted(f.terms, key=lambda mm: mm.exps))
+        changed = f + Poly.monomial(p, p, m, rng.randint(1, p - 1))
+        dropped = Poly(p, p, {mm: c for mm, c in f.terms.items() if mm != m})
+        for g in (changed, dropped):
+            verdicts.append(is_invariant(g))
+            assert verdicts[-1] == ref_is_invariant(g)
+            assert verdicts[-1] == (orbit_size(m, p) == 1)
+    assert False in verdicts
+    for _ in range(80):
+        f = random_poly(rng, p, p, 2, 3, 4)
+        verdicts.append(is_invariant(f))
+        assert verdicts[-1] == ref_is_invariant(f)
+    assert True in verdicts
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_invariant_on_tensor_bodies(p):
+    rng = random.Random(200 + p)
+    for c in range(p + 1):
+        body = Poly.const(p, 0, c)
+        assert is_invariant(body) and ref_is_invariant(body)
+        SymTensor(0, 1, body)
+    for _ in range(20):
+        s = random_one_row(rng, p, 2, 3, 4)
+        assert is_invariant(s) and ref_is_invariant(s)
+        x = SymTensor(1, 2, s)
+        for d in range(3):
+            body = shuffle(x, gamma(d, s, width=2)).body
+            assert is_invariant(body) and ref_is_invariant(body)
+        # a multi-row body written in one row only is not invariant
+        lifted = s.map_rows({}, 2)
+        verdict = is_invariant(lifted)
+        assert verdict == ref_is_invariant(lifted)
+        assert verdict == all(not m.exps for m in s.terms)

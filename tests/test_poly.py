@@ -124,12 +124,56 @@ def test_ring_axioms_randomized():
     from multisym.selftest import suite_ring_axioms
     result = suite_ring_axioms(seed=123, samples=40)
     assert result.passed, result.failures
+    result = suite_ring_axioms(seed=123, samples=40, primes=(5, 7))
+    assert result.passed, result.failures
 
 
 def test_mul_against_naive_double_loop():
     from multisym.selftest import suite_mul_oracle
     result = suite_mul_oracle(seed=5, samples=40)
     assert result.passed, result.failures
+    result = suite_mul_oracle(seed=5, samples=40, primes=(5, 7))
+    assert result.passed, result.failures
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_normal_form_edge_cases(p):
+    from multisym.selftest import random_poly
+    rng = random.Random(p)
+    for _ in range(20):
+        f = random_poly(rng, p, p, 2, 3, 5)
+        assert f.scale(0).is_zero
+        assert f.scale(p).is_zero and f.scale(-3 * p).is_zero
+        assert f.scale(-1).terms == {m: p - c for m, c in f.terms.items()}
+        assert f.scale(2 + p) == f.scale(2)
+        assert (f + (-f)).is_zero
+        for g in (f * f, f + f.scale(p - 1), f.scale(-2), -f):
+            assert all(0 < c < p for c in g.terms.values())
+    # raw coefficients handed to the constructor are reduced there
+    m = Monomial.of([(1, 1, 1)])
+    assert Poly(p, 1, {m: -1}).terms == {m: p - 1}
+    assert Poly(p, 1, {m: 3 * p}).is_zero
+    records = [{"coeff": 2, "exponents": [[1, 1, 1]]},
+               {"coeff": p - 2, "exponents": [[1, 1, 1]]}]
+    assert Poly.from_json_obj(p, 1, records).is_zero
+
+
+def test_map_rows_into_explicit_row_count():
+    p = 5
+    x = Poly.variable(p, 1, 1, 2, 3)
+    assert x.map_rows({1: 4}, p) == Poly.variable(p, p, 4, 2, 3)
+    assert x.map_rows({}, 3) == Poly.variable(p, 3, 1, 2, 3)
+    # the target may also have fewer rows than the source
+    f = Poly.variable(p, p, 2, 1) + Poly.variable(p, p, 3, 1)
+    assert f.map_rows({2: 1, 3: 2}, 2) == \
+        Poly.variable(p, 2, 1, 1) + Poly.variable(p, 2, 2, 1)
+    # terms that merge add up and cancel mod p
+    g = Poly.variable(p, 2, 1, 1) + Poly.variable(p, 2, 2, 1).scale(p - 1)
+    assert g.map_rows({2: 1}, 2).is_zero
+    with pytest.raises(ValueError, match="nrows=3"):
+        x.map_rows({1: 4}, 3)
+    with pytest.raises(ValueError):
+        f.map_rows({1: 2}, 2)  # row 3 is left where it is, past nrows=2
 
 
 def test_canonical_order_and_text():

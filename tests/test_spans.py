@@ -11,8 +11,9 @@ from multisym.selftest import (
 )
 from multisym.spans import (
     SpanBasis, gamma_basis, gl_span, ideal_truncation_span, in_p_algebra,
-    orbit_reps, p_algebra_span, square_ideal_quotient, square_span,
+    orbit_reps, p_algebra_span, spans_equal, square_ideal_quotient, square_span,
 )
+from multisym.witness import witness_check
 
 
 def brute_orbit_count(p, width, deg):
@@ -186,6 +187,22 @@ def test_ideal_truncation_examples():
     # the witness fact: M_(2,2) stays outside the degree-4 slice
     t4 = ideal_truncation_span(1, 4, 2, 2)
     assert t4.contains(power_sum((2, 2), 2, 2)) is None
+
+
+@pytest.mark.parametrize("d,n,p", [(1, 2, 2), (1, 3, 2), (1, 2, 3), (2, 3, 2)])
+def test_bare_generators_add_nothing_above_their_degree(d, n, p):
+    # the witness reuses its ideal slice as the slice without generators
+    # whenever N > d, since every generator has degree at most p*d < p*N
+    with_gens = ideal_truncation_span(d, p * n, n, p)
+    without = ideal_truncation_span(d, p * n, n, p, include_generators=False)
+    assert spans_equal(with_gens, without) and with_gens.dim > 0
+
+
+def test_degenerate_witness_builds_slice_without_generators():
+    rep, _ = witness_check(2, 2, 2)
+    assert rep.degenerate and not rep.passed
+    assert not rep.not_in_ideal_slice and rep.not_in_ideal_slice_no_gens
+    assert (rep.ideal_slice_dim, rep.ideal_slice_dim_no_gens) == (12, 11)
 
 
 def test_dimension_cap():
