@@ -39,7 +39,7 @@ from .operators import (
     newton_terms, polarize_elementary, power_to_elementary_one_column,
     validate_polarization_closed_form,
 )
-from .poly import Poly
+from .poly import Poly, sum_of_products
 
 Factors = tuple[ExpTuple, ...]
 TermMap = dict[Factors, int]
@@ -315,16 +315,14 @@ def _membership_fallback(alpha: ExpTuple, p: int, width: int) -> Certificate:
 def expand_certificate(cert: Certificate) -> Poly:
     """Re-expand the certificate's terms from scratch."""
     p = cert.p
-    total = Poly.zero(p, p)
     ecache: dict[ExpTuple, Poly] = {}
-    for coeff, factors in cert.terms:
-        prod = Poly.const(p, p, coeff)
-        for beta in factors:
-            if beta not in ecache:
-                ecache[beta] = elementary(beta, p, cert.width)
-            prod = prod * ecache[beta]
-        total = total + prod
-    return total
+
+    def factor_poly(beta: ExpTuple) -> Poly:
+        if beta not in ecache:
+            ecache[beta] = elementary(beta, p, cert.width)
+        return ecache[beta]
+
+    return sum_of_products(cert.terms, factor_poly, Poly.one(p, p))
 
 
 def certificate_diff(cert: Certificate) -> Poly:

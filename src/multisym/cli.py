@@ -128,7 +128,7 @@ def cmd_member(cfg: RunConfig, args) -> int:
     if in_gamma and not poly.is_zero:
         orbit_coords = {}
         for m, c in sorted(poly.terms.items(),
-                           key=lambda item: item[0].exps):
+                           key=lambda item: item[0]):
             orbit_coords.setdefault(orbit_min(m, poly.nrows).text(), c)
     membership = in_p_algebra(poly, cap=cfg.cap) if in_gamma else None
     in_p = membership is not None
@@ -172,7 +172,8 @@ def cmd_member(cfg: RunConfig, args) -> int:
             lines.append("generator combination:")
             for comp in combination:
                 for prod in comp["products"]:
-                    factors = " * ".join("E" + b for b in prod["factors"])
+                    factors = " * ".join(
+                        "E" + b for b in prod["factors"]) or "1"
                     lines.append(f"  {prod['coeff']} * {factors}")
         _emit("\n".join(lines) + "\n", cfg)
     else:

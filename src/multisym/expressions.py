@@ -190,7 +190,9 @@ def recognize(f: Poly, width: int) -> str | None:
         return "0"
     p = f.char
     lead = f.leading_monomial()
-    alpha = lead.row_exponents(lead.exps[0][0])
+    if not lead:  # a nonzero constant: no power sum or generator is one
+        return None
+    alpha = lead.row_exponents(lead[0][0])
     try:
         if f == power_sum(alpha, p, width):
             return "M" + format_tuple(alpha)

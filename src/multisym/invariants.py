@@ -49,15 +49,15 @@ def orbit_key(m: Monomial, nrows: int) -> tuple[tuple[int, ...], ...]:
     if m.max_row > nrows:
         raise ValueError(f"monomial {m} does not fit in {nrows} rows")
     rows = [[0] * m.max_col for _ in range(nrows)]
-    for r, c, e in m.exps:
+    for r, c, e in m:
         rows[r - 1][c - 1] = e
     return tuple(sorted(map(tuple, rows)))
 
 
 def rows_monomial(rows) -> Monomial:
     """The monomial whose row r has the exponent vector rows[r-1]."""
-    return Monomial(tuple((r, c, e) for r, row in enumerate(rows, start=1)
-                          for c, e in enumerate(row, start=1) if e))
+    return Monomial((r, c, e) for r, row in enumerate(rows, start=1)
+                    for c, e in enumerate(row, start=1) if e)
 
 
 def _arrangements(rows: tuple) -> Iterator[tuple]:
@@ -96,7 +96,7 @@ def orbit_sum(m: Monomial, p: int, nrows: int | None = None) -> Poly:
 def orbit_min(m: Monomial, nrows: int) -> Monomial:
     """Canonical orbit representative: the graded-lex minimum of the row
     orbit, which is m with its rows sorted ascending."""
-    key = (m.exps, nrows)
+    key = (m, nrows)
     rep = _ORBIT_MIN_CACHE.get(key)
     if rep is None:
         rep = _ORBIT_MIN_CACHE[key] = rows_monomial(orbit_key(m, nrows))
@@ -164,6 +164,8 @@ def elementary_column(i: int, col: int, p: int, width: int | None = None) -> Pol
     """The i-th elementary symmetric polynomial in the variables of one column."""
     if not (0 <= i <= p):
         raise ValueError(f"elementary index {i} out of range 0..{p}")
+    if col < 1:
+        raise ValueError(f"columns are 1-based, got {col}")
     w = width if width is not None else col
     return elementary((0,) * (col - 1) + (i,) if i else (), p, w)
 

@@ -28,7 +28,7 @@ from .exptuples import (
     ExpTuple, add_at, degree as tdeg, entry, exp_tuple, length as tlen,
 )
 from .invariants import elementary, orbit_coefficients, orbit_sum, power_sum
-from .poly import Monomial, Poly
+from .poly import Monomial, Poly, sum_of_products
 
 # Brute-force validation of the polarization closed form is only run for
 # primes small enough that elementary expansions stay tiny.
@@ -181,7 +181,7 @@ def polarize_raw(f: Poly, a: int, b: int, i: int) -> Poly:
     p = f.char
     out: dict[Monomial, int] = {}
     for m, coeff in f.terms.items():
-        rows = [(r, e) for (r, c, e) in m.exps if c == a]
+        rows = [(r, e) for (r, c, e) in m if c == a]
         if sum(e for _, e in rows) < i:
             continue
 
@@ -189,7 +189,7 @@ def polarize_raw(f: Poly, a: int, b: int, i: int) -> Poly:
             if factor == 0:
                 return
             if remaining == 0:
-                shifted = dict(((r, c), e) for r, c, e in m.exps)
+                shifted = dict(((r, c), e) for r, c, e in m)
                 for r, k in moves:
                     shifted[(r, a)] -= k
                     shifted[(r, b)] = shifted.get((r, b), 0) + k
@@ -378,12 +378,9 @@ def power_to_elementary_one_column(
         for ms, c in _column_power_exprs(p, m)
     ]
     if verify:
-        total = Poly.zero(p, p)
-        for c, factors in fragment:
-            prod = Poly.const(p, p, c)
-            for beta in factors:
-                prod = prod * elementary(beta, p, col)
-            total = total + prod
+        total = sum_of_products(
+            fragment, lambda beta: elementary(beta, p, col), Poly.one(p, p)
+        )
         if total != power_sum((0,) * (col - 1) + (m,), p, col):
             raise SelfCheckError(
                 f"one-column Newton recursion failed for m={m}, p={p}"

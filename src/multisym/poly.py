@@ -21,7 +21,6 @@ and binomial tables stay tiny.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_PRIME = 61
@@ -37,15 +36,17 @@ def validate_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(tuple):
     """A product of variables x[r,c]^e with only the nonzero exponents stored.
 
-    `exps` is sorted by (row, col) and every stored exponent is positive.
-    Use `Monomial.of` to build one from unnormalized data.
+    The monomial is the tuple of its (row, col, exp) triples, sorted by
+    (row, col), every exponent positive, so hashing and equality are the
+    tuple's own.  `Monomial(triples)` trusts its input; use `Monomial.of`
+    to build one from unnormalized data.  Tuple concatenation and
+    repetition are disabled: monomials multiply with `mul`.
     """
 
-    exps: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def of(pairs: Iterable[tuple[int, int, int]]) -> "Monomial":
@@ -58,80 +59,99 @@ class Monomial:
             if e:
                 key = (r, c)
                 merged[key] = merged.get(key, 0) + e
-        return Monomial(tuple(
+        return Monomial(
             (r, c, e) for (r, c), e in sorted(merged.items()) if e
-        ))
+        )
+
+    def _not_a_sequence(self, other):
+        raise TypeError(
+            "monomials are not sequences: use Monomial.mul to multiply"
+        )
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
+
+    @property
+    def exps(self) -> "Monomial":
+        return self
 
     @property
     def degree(self) -> int:
-        return sum(e for _, _, e in self.exps)
+        return sum(e for _, _, e in self)
 
     @property
     def max_row(self) -> int:
-        return max((r for r, _, _ in self.exps), default=0)
+        return self[-1][0] if self else 0
 
     @property
     def max_col(self) -> int:
-        return max((c for _, c, _ in self.exps), default=0)
+        return max((c for _, c, _ in self), default=0)
 
     def exponent(self, r: int, c: int) -> int:
-        for rr, cc, e in self.exps:
+        for rr, cc, e in self:
             if rr == r and cc == c:
                 return e
         return 0
 
     def mul(self, other: "Monomial") -> "Monomial":
         # Two-pointer merge of the sorted triple lists; hot path for Poly.mul.
-        a, b = self.exps, other.exps
-        if not a:
+        if not self:
             return other
-        if not b:
+        if not other:
             return self
         out = []
+        append = out.append
         i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            ra, ca, ea = a[i]
-            rb, cb, eb = b[j]
-            if (ra, ca) < (rb, cb):
-                out.append(a[i])
+        na, nb = len(self), len(other)
+        ta = self[0]
+        tb = other[0]
+        while True:
+            ra, ca, ea = ta
+            rb, cb, eb = tb
+            if ra < rb or (ra == rb and ca < cb):
+                append(ta)
                 i += 1
-            elif (ra, ca) > (rb, cb):
-                out.append(b[j])
+                if i == na:
+                    break
+                ta = self[i]
+            elif ra == rb and ca == cb:
+                append((ra, ca, ea + eb))
+                i += 1
                 j += 1
+                if i == na or j == nb:
+                    break
+                ta = self[i]
+                tb = other[j]
             else:
-                out.append((ra, ca, ea + eb))
-                i += 1
+                append(tb)
                 j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial(tuple(out))
+                if j == nb:
+                    break
+                tb = other[j]
+        out.extend(self[i:])
+        out.extend(other[j:])
+        return Monomial(out)
 
     def power(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("monomial power must be nonnegative")
-        return Monomial(tuple((r, c, e * k) for r, c, e in self.exps)) if k else Monomial()
+        return Monomial((r, c, e * k) for r, c, e in self) if k else Monomial()
 
     def root(self, k: int) -> "Monomial | None":
         """The k-th root if every exponent is divisible by k, else None."""
-        if any(e % k for _, _, e in self.exps):
+        if any(e % k for _, _, e in self):
             return None
-        return Monomial(tuple((r, c, e // k) for r, c, e in self.exps))
+        return Monomial((r, c, e // k) for r, c, e in self)
 
     def map_rows(self, mapping: dict[int, int]) -> "Monomial":
         """Relabel rows; rows absent from the mapping keep their label."""
-        return Monomial.of(
-            (mapping.get(r, r), c, e) for r, c, e in self.exps
-        )
+        return Monomial.of((mapping.get(r, r), c, e) for r, c, e in self)
 
     def map_cols(self, mapping: dict[int, int]) -> "Monomial":
-        return Monomial.of(
-            (r, mapping.get(c, c), e) for r, c, e in self.exps
-        )
+        return Monomial.of((r, mapping.get(c, c), e) for r, c, e in self)
 
     def row_exponents(self, r: int) -> tuple[int, ...]:
         """Column exponent vector of row r, trailing zeros stripped."""
-        entries: dict[int, int] = {c: e for rr, c, e in self.exps if rr == r}
+        entries: dict[int, int] = {c: e for rr, c, e in self if rr == r}
         if not entries:
             return ()
         width = max(entries)
@@ -141,14 +161,14 @@ class Monomial:
         """Total degree per column, padded to at least `width` entries."""
         w = max(width, self.max_col)
         degs = [0] * w
-        for _, c, e in self.exps:
+        for _, c, e in self:
             degs[c - 1] += e
         return tuple(degs)
 
     def dense(self, nrows: int, width: int) -> tuple[int, ...]:
         """Row-major exponent vector of length nrows*width."""
         vec = [0] * (nrows * width)
-        for r, c, e in self.exps:
+        for r, c, e in self:
             if r > nrows or c > width:
                 raise ValueError(
                     f"monomial {self} does not fit in {nrows}x{width}"
@@ -163,12 +183,11 @@ class Monomial:
         return (self.degree, self.dense(n, w)) if n and w else (self.degree, ())
 
     def text(self) -> str:
-        if not self.exps:
+        if not self:
             return "1"
-        parts = []
-        for r, c, e in self.exps:
-            parts.append(f"x[{r},{c}]" + (f"^{e}" if e > 1 else ""))
-        return " * ".join(parts)
+        return " * ".join(
+            f"x[{r},{c}]" + (f"^{e}" if e > 1 else "") for r, c, e in self
+        )
 
     def __repr__(self) -> str:
         return self.text()
@@ -202,7 +221,7 @@ class Poly:
             for m, c in terms.items():
                 c %= char
                 if c:
-                    if m.max_row > nrows:
+                    if m and m[-1][0] > nrows:  # m.max_row, inlined
                         raise ValueError(
                             f"monomial {m} uses row {m.max_row} > nrows={nrows}"
                         )
@@ -361,7 +380,7 @@ class Poly:
         """Substitute x[r,c] -> lam*x[r,c] in every row r."""
         out: dict[Monomial, int] = {}
         for m, coeff in self.terms.items():
-            col_deg = sum(e for _, cc, e in m.exps if cc == c)
+            col_deg = sum(e for _, cc, e in m if cc == c)
             out[m] = coeff * pow(lam, col_deg, self.char)
         return Poly(self.char, self.nrows, out)
 
@@ -372,7 +391,7 @@ class Poly:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            if m.exps:
+            if m:
                 parts.append(f"{c} * {m.text()}" if c != 1 else m.text())
             else:
                 parts.append(str(c))
@@ -380,7 +399,7 @@ class Poly:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"coeff": c, "exponents": [list(t) for t in m.exps]}
+            {"coeff": c, "exponents": [list(t) for t in m]}
             for m, c in self.sorted_terms()
         ]
 
@@ -407,6 +426,55 @@ def frobenius(f: Poly) -> Poly:
     return Poly(p, f.nrows, {m.power(p): c for m, c in f.terms.items()})
 
 
+def prefix_products(factor_tuples: Iterable[tuple], factor_poly,
+                    one: Poly) -> Iterator[tuple[tuple, Poly]]:
+    """Yield (factors, product of factor_poly(f) for f in factors) for each
+    tuple of `factor_tuples`, in the given order; `one` is the empty product.
+
+    The products of the last tuple's prefixes stay on a stack, and each
+    tuple extends the longest prefix it shares with the one before it.  A
+    prefix is therefore multiplied out only when a yielded tuple starts
+    with it, and tuples listed in sorted or depth-first order expand each
+    shared prefix once.
+    """
+    stack = [one]
+    prev: tuple = ()
+    for factors in factor_tuples:
+        k = 0
+        n = min(len(prev), len(factors))
+        while k < n and prev[k] == factors[k]:
+            k += 1
+        del stack[k + 1:]
+        for f in factors[k:]:
+            stack.append(stack[-1] * factor_poly(f))
+        prev = factors
+        yield factors, stack[-1]
+
+
+def sum_of_products(terms: Iterable[tuple[int, tuple]], factor_poly,
+                    one: Poly) -> Poly:
+    """sum(coeff * prod(factor_poly(f) for f in factors)) over the
+    (coeff, factors) pairs of `terms`; factors must be sortable.
+
+    Factors commute, so a term is keyed on its sorted factor tuple and equal
+    keys add their coefficients.  The keys are expanded in sorted order
+    through `prefix_products`, and each product is scaled as it is added
+    into one term map.
+    """
+    coeffs: dict[tuple, int] = {}
+    for coeff, factors in terms:
+        key = tuple(sorted(factors))
+        coeffs[key] = coeffs.get(key, 0) + coeff
+    p = one.char
+    live = sorted(key for key, coeff in coeffs.items() if coeff % p)
+    out: dict[Monomial, int] = {}
+    for factors, prod in prefix_products(live, factor_poly, one):
+        coeff = coeffs[factors]
+        for m, c in prod.terms.items():
+            out[m] = out.get(m, 0) + coeff * c
+    return Poly(p, one.nrows, out)
+
+
 def iter_monomials(nrows: int, width: int, degree: int) -> Iterator[Monomial]:
     """All monomials of the given total degree in an nrows x width matrix."""
     nvars = nrows * width
@@ -421,10 +489,10 @@ def iter_monomials(nrows: int, width: int, degree: int) -> Iterator[Monomial]:
             if remaining:
                 r, c = divmod(pos, width)
                 acc.append((r + 1, c + 1, remaining))
-                yield Monomial(tuple(acc))
+                yield Monomial(acc)
                 acc.pop()
             else:
-                yield Monomial(tuple(acc))
+                yield Monomial(acc)
             return
         for e in range(remaining, -1, -1):
             if e:

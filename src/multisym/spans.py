@@ -31,7 +31,7 @@ from .invariants import (
     power_sum, row_orbit, rows_monomial,
 )
 from .operators import polarize_raw
-from .poly import Monomial, Poly
+from .poly import Monomial, Poly, prefix_products
 
 DEFAULT_CAP = 20000
 
@@ -291,10 +291,32 @@ def p_algebra_generators(width: int, p: int) -> list[ExpTuple]:
     return sorted(gens, key=lambda t: (tdeg(t), t))
 
 
-def _elementary_cached(cache: dict, beta: ExpTuple, p: int, width: int) -> Poly:
-    if beta not in cache:
-        cache[beta] = elementary(beta, p, width)
-    return cache[beta]
+def _generator_products(gens: list[ExpTuple], costs: list[tuple[int, ...]],
+                        budget: tuple[int, ...], p: int, width: int):
+    """(factors, product of E_g over the factors) for every multiset of
+    `gens` whose cost vectors sum to exactly `budget`, depth first with
+    factors in list order.  Leaves are enumerated as index tuples before
+    anything is multiplied; `prefix_products` then expands each shared
+    prefix once, and never one that no leaf extends."""
+    def leaves(start: int, remaining: tuple[int, ...], acc: tuple[int, ...]):
+        if not any(remaining):
+            yield acc
+            return
+        for idx in range(start, len(gens)):
+            left = tuple(r - c for r, c in zip(remaining, costs[idx]))
+            if min(left) >= 0:
+                yield from leaves(idx, left, acc + (idx,))
+
+    epolys: dict[int, Poly] = {}
+
+    def factor_poly(idx: int) -> Poly:
+        if idx not in epolys:
+            epolys[idx] = elementary(gens[idx], p, width)
+        return epolys[idx]
+
+    for idx, product in prefix_products(
+            leaves(0, budget, ()), factor_poly, Poly.one(p, p)):
+        yield tuple(gens[i] for i in idx), product
 
 
 def p_algebra_span(deg: int, width: int, p: int, cap: int = DEFAULT_CAP,
@@ -304,22 +326,9 @@ def p_algebra_span(deg: int, width: int, p: int, cap: int = DEFAULT_CAP,
     factor multisets, so membership queries can report explicit products."""
     basis = SpanBasis(p, p, deg, width, cap=cap, track=track)
     gens = p_algebra_generators(width, p)
-    ecache: dict[ExpTuple, Poly] = {}
-
-    def rec(start: int, remaining: int, product: Poly, factors: tuple):
-        if remaining == 0:
-            basis.insert_poly(product, label=factors)
-            return
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            gd = tdeg(g)
-            if gd > remaining:
-                continue
-            rec(idx, remaining - gd,
-                product * _elementary_cached(ecache, g, p, width),
-                factors + (g,))
-
-    rec(0, deg, Poly.one(p, p), ())
+    costs = [(tdeg(g),) for g in gens]
+    for factors, product in _generator_products(gens, costs, (deg,), p, width):
+        basis.insert_poly(product, label=factors)
     return basis
 
 
@@ -341,37 +350,18 @@ def p_multidegree_span(coldegs: tuple[int, ...], p: int,
          if all(e <= c for e, c in zip(g + (0,) * width, coldegs))),
         key=lambda g: (-tdeg(g), g),
     )
-    ecache: dict[ExpTuple, Poly] = {}
+    costs = [g + (0,) * (len(coldegs) - len(g)) for g in gens]
     target_vec = None
     if stop_when_contains is not None:
         target_vec = basis.vector_of(stop_when_contains)
-
-    class _Done(Exception):
-        pass
-
-    def rec(start: int, remaining: tuple[int, ...], product: Poly, factors: tuple):
-        if not any(remaining):
-            grew = basis.insert_poly(product, label=factors)
-            if grew and target_vec is not None:
-                if basis.contains_vector(target_vec) is not None:
-                    raise _Done
-            if basis.dim == basis.ncols:
-                raise _Done  # the slice is already everything it can be
-            return
-        for idx in range(start, len(gens)):
-            g = gens[idx]
-            padded = g + (0,) * (len(remaining) - len(g))
-            if any(e > rem for e, rem in zip(padded, remaining)):
-                continue
-            rec(idx,
-                tuple(rem - e for rem, e in zip(remaining, padded)),
-                product * _elementary_cached(ecache, g, p, width),
-                factors + (g,))
-
-    try:
-        rec(0, tuple(coldegs), Poly.one(p, p), ())
-    except _Done:
-        pass
+    for factors, product in _generator_products(
+            gens, costs, tuple(coldegs), p, width):
+        grew = basis.insert_poly(product, label=factors)
+        if grew and target_vec is not None:
+            if basis.contains_vector(target_vec) is not None:
+                break
+        if basis.dim == basis.ncols:
+            break  # the slice is already everything it can be
     return basis
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from multisym.cli import main
 from multisym.expressions import ParseError, parse_expression, recognize
-from multisym.invariants import elementary, power_sum
+from multisym.invariants import elementary, elementary_column, power_sum
 from multisym.operators import frobenius_split
 from multisym.poly import Monomial, Poly
 
@@ -61,6 +61,7 @@ def test_recognize():
     assert recognize(elementary((1, 1), 3, 2), 2) == "E(1,1)"
     assert recognize(Poly.zero(3, 3), 2) == "0"
     assert recognize(power_sum((1,), 3, 2) + Poly.one(3, 3), 2) is None
+    assert recognize(Poly.const(3, 3, 2), 2) is None
 
 
 # -- commands ----------------------------------------------------------------
@@ -86,6 +87,41 @@ def test_eval_polarize_json(capsys):
     obj = json.loads(out)
     assert obj["recognized"] == "M(3,2)"
     assert len(obj["terms"]) == 3
+
+
+@pytest.mark.parametrize("expr,printed", [
+    ("1", "1"), ("2", "2"), ("M(1)^0", "1"), ("E(0)", "1"),
+])
+def test_eval_of_a_nonzero_constant(capsys, expr, printed):
+    code, out, _ = run_cli(capsys, "eval", expr, "--p", "3")
+    assert code == 0
+    assert out.splitlines() == [printed]
+    code, out, _ = run_cli(capsys, "eval", expr, "--p", "3",
+                           "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["terms"] == [{"coeff": int(printed), "exponents": []}]
+    assert "recognized" not in obj
+
+
+def test_ep_column_is_one_based(capsys):
+    code, _, err = run_cli(capsys, "eval", "Ep(0)", "--p", "3")
+    assert code == 2
+    assert "1-based" in err
+    with pytest.raises(ValueError):
+        elementary_column(3, 0, 3)
+
+
+@pytest.mark.parametrize("expr", ["1", "E(0)"])
+def test_member_of_a_constant_prints_the_empty_product(capsys, expr):
+    code, out, _ = run_cli(capsys, "member", expr, "--p", "3")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["generator combination:", "  1 * 1"]
+    code, out, _ = run_cli(capsys, "member", expr, "--p", "3",
+                           "--format", "json")
+    assert code == 0
+    products = json.loads(out)["generator_combination"][0]["products"]
+    assert products == [{"coeff": 1, "factors": []}]
 
 
 def test_eval_parse_error_exit_code(capsys):

@@ -49,6 +49,57 @@ def test_monomial_basics():
     assert m.text() == "x[1,1]^2 * x[1,2] * x[2,1]"
 
 
+def test_monomial_of_validates_and_normalizes():
+    for bad in ([(0, 1, 1)], [(1, 0, 1)], [(1, 1, -1)], [(2, 1, 1), (1, 1, -2)]):
+        with pytest.raises(ValueError):
+            Monomial.of(bad)
+    # unsorted input is sorted, repeated positions add, zero exponents drop
+    m = Monomial.of([(2, 1, 1), (1, 3, 0), (1, 2, 1), (2, 1, 2)])
+    assert m.exps == ((1, 2, 1), (2, 1, 3))
+    assert Monomial.of([(1, 1, 0)]) == Monomial()
+    assert Monomial.of([]).text() == "1"
+
+
+def test_monomial_is_not_a_sequence_for_arithmetic():
+    m = Monomial.of([(1, 1, 2), (2, 1, 1)])
+    for op in (lambda: 2 * m, lambda: m * 2, lambda: m + m,
+               lambda: m + ((3, 1, 1),), lambda: ((3, 1, 1),) + m):
+        with pytest.raises(TypeError):
+            op()
+    acc = m
+    with pytest.raises(TypeError):
+        acc += m
+    with pytest.raises(TypeError):
+        acc *= 2
+    assert m.mul(m) == Monomial.of([(1, 1, 4), (2, 1, 2)])
+
+
+def test_monomial_tuple_backing_randomized():
+    rng = random.Random(11)
+    for _ in range(500):
+        pairs = [(rng.randint(1, 5), rng.randint(1, 4), rng.randint(0, 3))
+                 for _ in range(rng.randint(0, 6))]
+        m = Monomial.of(pairs)
+        n = Monomial.of(
+            (rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 6))
+        )
+        triples = tuple(m)
+        assert m.exps is m
+        assert m.max_row == max((r for r, _, _ in triples), default=0)
+        assert m.max_col == max((c for _, c, _ in triples), default=0)
+        assert m.degree == sum(e for _, _, e in triples)
+        assert hash(m) == hash(triples) and m == Monomial(triples)
+        # the merge agrees with adding exponents position by position
+        expect: dict = {}
+        for r, c, e in tuple(m) + tuple(n):
+            expect[(r, c)] = expect.get((r, c), 0) + e
+        prod = m.mul(n)
+        assert isinstance(prod, Monomial)
+        assert prod.exps == tuple((r, c, e) for (r, c), e in sorted(expect.items()))
+        assert prod == n.mul(m)
+
+
 def test_monomial_row_and_column_maps():
     m = Monomial.of([(1, 1, 2), (2, 2, 1)])
     swapped = m.map_rows({1: 2, 2: 1})
