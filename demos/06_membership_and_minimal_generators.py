@@ -34,7 +34,7 @@ for coldegs, combo in result:
 print()
 print("== the generator algebra is a proper subring ==")
 print("dim of generator products, degree 3, width 3, p=2:",
-      p_algebra_span(3, 3, 2, track=False).dim)
+      p_algebra_span(3, 3, 2).dim)
 print("dim of all invariants there:", gamma_basis(3, 3, 2).dim)
 missing = power_sum((1, 1, 1), 2, 3)
 print("the all-ones power sum M(1,1,1) is the missing direction:",

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .certify import certify_power_sum, certify_pth_power, verify
 from .errors import CapExceeded, SelfCheckError
@@ -289,7 +290,10 @@ def cmd_selftest(cfg: RunConfig, args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; defaults stay None so
+    that `_resolve` reads the environment on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=None,
                         help="prime characteristic (env MULTISYM_P, default 2)")

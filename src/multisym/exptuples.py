@@ -68,6 +68,30 @@ def add(alpha: ExpTuple, beta: ExpTuple) -> ExpTuple:
     )
 
 
+def compositions(total: int, parts: int):
+    """All ways to write `total` as an ordered sum of `parts` >= 0 terms."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def tuples_up_to(maxdeg: int, width: int) -> list[ExpTuple]:
+    """Every nonzero tuple with |alpha| <= maxdeg and support within the
+    first `width` columns, normalized, in sorted order (which is the
+    lexicographic order of the zero-padded tuples)."""
+    return sorted(
+        exp_tuple(vec) for d in range(1, maxdeg + 1)
+        for vec in compositions(d, width)
+    )
+
+
 def format_tuple(alpha: ExpTuple) -> str:
     if not alpha:
         return "(0)"

@@ -26,8 +26,9 @@ from math import comb
 from .errors import SelfCheckError
 from .exptuples import (
     ExpTuple, add_at, degree as tdeg, entry, exp_tuple, length as tlen,
+    tuples_up_to,
 )
-from .invariants import elementary, orbit_coefficients, orbit_sum, power_sum
+from .invariants import elementary, orbit_coefficients, power_sum, row_orbit
 from .poly import Monomial, Poly, sum_of_products
 
 # Brute-force validation of the polarization closed form is only run for
@@ -244,19 +245,7 @@ def validate_polarization_closed_form(p: int, width: int = 3) -> bool | None:
     """
     if p > VALIDATION_PRIME_CAP:
         return None
-
-    def tuples_up_to(deg: int, ncols: int):
-        if ncols == 0:
-            yield ()
-            return
-        for head in range(deg + 1):
-            for rest in tuples_up_to(deg - head, ncols - 1):
-                yield (head,) + rest
-
-    for raw in tuples_up_to(p, width):
-        beta = exp_tuple(raw)
-        if tdeg(beta) == 0:
-            continue
+    for beta in tuples_up_to(p, width):
         base = elementary(beta, p, width)
         for a in range(1, width + 1):
             for b in range(1, width + 1):
@@ -329,12 +318,14 @@ def frobenius_split(f: Poly) -> Poly:
             "has mixed coefficients"
         )
     p = f.char
-    result = Poly.zero(p, f.nrows)
+    # distinct reps have distinct roots, so the root orbits are disjoint
+    terms: dict[Monomial, int] = {}
     for rep, c in coeffs.items():
         root = rep.root(p)
         if root is not None:
-            result = result + orbit_sum(root, p, f.nrows) * c
-    return result
+            for m in row_orbit(root, f.nrows):
+                terms[m] = c
+    return Poly(p, f.nrows, terms)
 
 
 # ---------------------------------------------------------------------------

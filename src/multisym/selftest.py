@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .certify import Certificate, certify_power_sum, replay_matches, verify
-from .exptuples import exp_tuple
+from .exptuples import exp_tuple, tuples_up_to
 from .invariants import (
     SymTensor, elementary, gamma, is_invariant, orbit_sum, power_sum,
     row_monomial, shuffle,
@@ -28,7 +28,7 @@ from .operators import (
 from .poly import Monomial, Poly, frobenius
 from .spans import (
     SpanBasis, embed_one_row, gamma_basis, gl_span, in_p_algebra, orbit_reps,
-    p_algebra_span, single_row_closure, spans_equal, square_ideal_quotient,
+    p_algebra_span, spans_equal, square_ideal_quotient,
 )
 
 
@@ -287,7 +287,7 @@ def suite_newton(seed: int, samples: int = 0, primes=(2, 3)) -> SuiteResult:
     for p in (2, 3, 5):
         res.require(check_newton_tilde(p), f"integer Newton identity p={p}")
     for p in primes:
-        for alpha in _small_tuples(maxdeg=6, maxlen=2):
+        for alpha in tuples_up_to(6, 2):
             for r in (1, 2):
                 if len(alpha) >= r and alpha[r - 1] >= p:
                     terms = newton_rewrite(alpha, r, p)  # self-checks inside
@@ -302,26 +302,12 @@ def suite_newton(seed: int, samples: int = 0, primes=(2, 3)) -> SuiteResult:
     return res
 
 
-def _small_tuples(maxdeg: int, maxlen: int):
-    out = []
-    def rec(prefix):
-        if prefix and prefix[-1] != 0:
-            t = exp_tuple(prefix)
-            if 0 < sum(t) <= maxdeg:
-                out.append(t)
-        if len(prefix) < maxlen:
-            for e in range(maxdeg + 1):
-                rec(prefix + [e])
-    rec([])
-    return sorted(set(out))
-
-
 def suite_flattening(seed: int, samples: int = 0, primes=(2, 3)) -> SuiteResult:
     res = SuiteResult("flattening", seed)
     res.require(flatten_tuple((5,), 1, 3) == (3, 2), "flatten (5) at p=3")
     res.require(flatten_tuple((4,), 1, 3) == (3, 1), "flatten (4) at p=3")
     for p in primes:
-        for alpha in _small_tuples(maxdeg=6, maxlen=2):
+        for alpha in tuples_up_to(6, 2):
             for col in range(1, len(alpha) + 1):
                 if alpha[col - 1] % p:
                     # flatten_tuple verifies the polarization internally
@@ -430,7 +416,7 @@ def suite_membership(seed: int, samples: int = 0) -> SuiteResult:
     res = SuiteResult("membership", seed)
     for p in (2, 3):
         for d in range(1, 5):
-            dim_p = p_algebra_span(d, 2, p, track=False).dim
+            dim_p = p_algebra_span(d, 2, p).dim
             dim_g = gamma_basis(d, 2, p).dim
             res.require(dim_p <= dim_g, f"P inside invariants p={p} d={d}")
         # p-th powers of small bounded tuples are in the generator algebra
@@ -441,7 +427,7 @@ def suite_membership(seed: int, samples: int = 0) -> SuiteResult:
         # every generator is in the algebra generated by polarizing the
         # first column's generators, and conversely
         width = 2
-        for beta in _small_tuples(maxdeg=p, maxlen=width):
+        for beta in tuples_up_to(p, width):
             basis_deg = sum(beta)
             algebra = _polarized_column_algebra(p, width, basis_deg)
             res.require(
@@ -451,7 +437,7 @@ def suite_membership(seed: int, samples: int = 0) -> SuiteResult:
         for i in range(1, p + 1):
             closure = gl_span(elementary((i,), p, width), width)
             full = SpanBasis(p, p, i, width)
-            for beta in _small_tuples(maxdeg=p, maxlen=width):
+            for beta in tuples_up_to(p, width):
                 if sum(beta) == i:
                     full.insert_poly(elementary(beta, p, width))
             for k in range(closure.dim):
@@ -501,7 +487,7 @@ def suite_gl_spans(seed: int, samples: int = 0) -> SuiteResult:
             span = gl_span(seed_poly, width)
             # the same closure computed on one-row polynomials and embedded
             one_row = Poly.monomial(p, 1, row_monomial(exp_tuple(alpha), 1))
-            model = single_row_closure(one_row, width)
+            model = gl_span(one_row, width)
             embedded = SpanBasis(p, p, sum(alpha), width)
             for i in range(model.dim):
                 embedded.insert_poly(embed_one_row(model.row_poly(i), p))
@@ -517,7 +503,7 @@ def suite_gl_spans(seed: int, samples: int = 0) -> SuiteResult:
 def suite_certificates(seed: int, samples: int = 0) -> SuiteResult:
     res = SuiteResult("certificates", seed)
     for p, maxdeg in ((2, 3), (3, 2)):
-        for alpha in _small_tuples(maxdeg=maxdeg, maxlen=2):
+        for alpha in tuples_up_to(maxdeg, 2):
             cert = certify_power_sum(tuple(p * a for a in alpha), p,
                                      verify_on_build=False)
             res.require(verify(cert), f"certificate verifies p={p} {alpha}")

@@ -8,9 +8,10 @@ the orbit's graded-lex minimal monomial (the rows in ascending order) and
 listed in graded-lex order, so pivots are canonical.  Echelon forms are
 reduced, so span membership is a single pass of back-substitution.
 
-A SpanBasis can optionally track, for every echelon row, its expression
-over the raw candidate polynomials that were inserted; this is what lets
-membership queries return explicit product combinations.
+A SpanBasis always tracks, for every echelon row, its expression over
+the candidate polynomials that grew the span: each row is stored
+augmented with that combination, as in elimination on [A | I]; this is
+what lets membership queries return explicit product combinations.
 
 Dimension caps turn combinatorial blowups into CapExceeded rather than
 hangs; the default cap of 20000 coordinate columns is generous for desk
@@ -25,7 +26,9 @@ from itertools import product
 import numpy as np
 
 from .errors import CapExceeded
-from .exptuples import ExpTuple, degree as tdeg, exp_tuple, length as tlen, scale
+from .exptuples import (
+    ExpTuple, compositions, degree as tdeg, scale, tuples_up_to,
+)
 from .invariants import (
     elementary, elementary_column, is_invariant, orbit_coefficients, orbit_sum,
     power_sum, row_orbit, rows_monomial,
@@ -39,20 +42,6 @@ DEFAULT_CAP = 20000
 # ---------------------------------------------------------------------------
 # Coordinate systems: orbit representatives per degree or column multidegree
 # ---------------------------------------------------------------------------
-
-def _compositions(total: int, parts: int):
-    """All ways to write `total` as an ordered sum of `parts` >= 0 terms."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
 
 def _row_multisets(nrows: int, coldegs: tuple[int, ...]):
     """Every multiset of `nrows` row vectors whose sum is `coldegs`, as its
@@ -82,7 +71,7 @@ def orbit_reps(char: int, nrows: int, width: int, deg: int) -> list[Monomial]:
     """Canonical representatives of the row orbits of degree-`deg`
     monomials, in graded-lex order: one sorted row multiset per orbit."""
     keys = [
-        rows for coldegs in _compositions(deg, width)
+        rows for coldegs in compositions(deg, width)
         for rows in _row_multisets(nrows, coldegs)
     ]
     return [rows_monomial(rows) for rows in sorted(keys)]
@@ -101,16 +90,22 @@ def orbit_reps_multidegree(nrows: int, coldegs: tuple[int, ...]) -> list[Monomia
 class SpanBasis:
     """A reduced-echelon GF(p) basis of a subspace of one graded piece.
 
-    Rows are stored as coordinate vectors over the orbit-sum basis listed
-    in `reps`.  Each row has a pivot column holding 1 that is zero in every
-    other row, so reduction against the basis is deterministic and
-    idempotent.  With `track=True` the basis also remembers how each row
-    decomposes over the inserted candidate polynomials.
+    Rows are coordinate vectors over the orbit-sum basis listed in `reps`.
+    Each row has a pivot column holding 1 that is zero in every other row,
+    so reduction against the basis is deterministic and idempotent.
+
+    Row k lives in one buffer as the augmented row [echelon row |
+    combination]: the k-th candidate that grew the span is inserted as
+    [vec | e_k] and eliminated whole, so the right block always holds each
+    row over the grown candidates (named in `labels`).  `rows` and
+    `combos` are views of the two blocks.  The buffer stores residues in
+    the smallest unsigned type that holds p - 1; all arithmetic on it is
+    done in int64.
     """
 
     def __init__(self, char: int, nrows: int, deg: int, width: int,
                  reps: list[Monomial] | None = None,
-                 cap: int = DEFAULT_CAP, track: bool = False):
+                 cap: int = DEFAULT_CAP):
         self.char = char
         self.nrows = nrows
         self.degree = deg
@@ -124,19 +119,32 @@ class SpanBasis:
             )
         self.reps = reps
         self.index = {m: i for i, m in enumerate(reps)}
-        self.rows: list[np.ndarray] = []
+        # dim <= ncols, so a buffer of c rows needs c combination columns
+        residue = np.min_scalar_type(char - 1)
+        self._aug = np.zeros((0, len(reps)), dtype=residue)
         self.pivots: list[int] = []
-        self.track = track
         self.labels: list = []
-        self.combos: list[dict[int, int]] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
     def ncols(self) -> int:
         return len(self.reps)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The echelon rows, one per dimension (a view of residues in the
+        storage type: cast to int64 before arithmetic)."""
+        return self._aug[:self.dim, :self.ncols]
+
+    @property
+    def combos(self) -> np.ndarray:
+        """Row k over the grown candidates: combos[k, j] multiplies the
+        candidate labelled labels[j] (a view, typed like `rows`)."""
+        n = self.ncols
+        return self._aug[:self.dim, n:n + self.dim]
 
     # -- coordinates ---------------------------------------------------------
 
@@ -149,19 +157,18 @@ class SpanBasis:
         vec = np.zeros(self.ncols, dtype=np.int64)
         if f.is_zero:
             return vec
+        coeffs = orbit_coefficients(f)
+        if coeffs is not None and all(rep in self.index for rep in coeffs):
+            for rep, c in coeffs.items():
+                vec[self.index[rep]] = c
+            return vec
+        # every rep in `index` has the basis degree, so only an f that is
+        # not a combination of them can have another degree
         if f.homogeneous_degree != self.degree:
             raise ValueError(
                 f"degree mismatch: basis is graded in degree {self.degree}"
             )
-        coeffs = orbit_coefficients(f)
-        if coeffs is None:
-            return None
-        for rep, c in coeffs.items():
-            j = self.index.get(rep)
-            if j is None:
-                return None
-            vec[j] = c
-        return vec
+        return None
 
     def poly_of(self, vec: np.ndarray) -> Poly:
         """The invariant with orbit-basis coordinates `vec`; orbits are
@@ -179,51 +186,42 @@ class SpanBasis:
 
     # -- elimination ---------------------------------------------------------
 
-    def reduce(self, vec: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
-        """Residual of vec modulo the span, plus the row coordinates used."""
+    def reduce(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residual of vec modulo the span, plus its coordinates over the
+        rows.  The basis is reduced, so the coordinates are vec's pivot
+        entries.  An augmented vec is reduced with its combination block."""
         p = self.char
-        res = vec % p
-        coords: dict[int, int] = {}
-        for r, c in enumerate(self.pivots):
-            t = int(res[c])
-            if t:
-                res = (res - t * self.rows[r]) % p
-                coords[r] = t
+        vec = np.asarray(vec, dtype=np.int64)
+        coords = vec[self.pivots] % p
+        used = np.flatnonzero(coords)
+        res = (vec - coords[used] @ self._aug[used, :len(vec)]) % p
         return res, coords
 
     def insert_vector(self, vec: np.ndarray, label=None) -> bool:
         """Add a vector to the span; returns True when the span grew."""
-        p = self.char
-        res, coords = self.reduce(vec)
-        nz = np.nonzero(res)[0]
+        p, n, k = self.char, self.ncols, self.dim
+        if k == n:
+            return False  # full rank: every vector reduces to zero
+        if k == len(self._aug):
+            size = min(max(2 * k, 8), n)
+            grown = np.zeros((size, n + size), dtype=self._aug.dtype)
+            grown[:k, :n + k] = self._aug
+            self._aug = grown
+        aug = np.zeros(self._aug.shape[1], dtype=np.int64)
+        aug[:n] = vec
+        aug[n + k] = 1
+        res, _ = self.reduce(aug)
+        nz = np.flatnonzero(res[:n])
         if nz.size == 0:
             return False
         pivot = int(nz[-1])  # leading monomial: largest in canonical order
-        inv = pow(int(res[pivot]), p - 2, p)
-        newrow = (res * inv) % p
-        if self.track:
-            k = len(self.labels)
-            self.labels.append(label)
-            combo: dict[int, int] = {k: inv % p}
-            for r, t in coords.items():
-                for cand, cf in self.combos[r].items():
-                    combo[cand] = (combo.get(cand, 0) - inv * t * cf) % p
-            combo = {cand: cf for cand, cf in combo.items() if cf}
-            self.combos.append(combo)
-        for r in range(len(self.rows)):
-            t = int(self.rows[r][pivot])
-            if t:
-                self.rows[r] = (self.rows[r] - t * newrow) % p
-                if self.track:
-                    for cand, cf in self.combos[-1].items():
-                        self.combos[r][cand] = (
-                            self.combos[r].get(cand, 0) - t * cf
-                        ) % p
-                    self.combos[r] = {
-                        cand: cf for cand, cf in self.combos[r].items() if cf
-                    }
-        self.rows.append(newrow)
+        new = res * pow(int(res[pivot]), p - 2, p) % p
+        col = self._aug[:k, pivot]
+        hit = np.flatnonzero(col)
+        self._aug[hit] = (self._aug[hit] - np.outer(col[hit], new)) % p
+        self._aug[k] = new
         self.pivots.append(pivot)
+        self.labels.append(label)
         return True
 
     def insert_poly(self, f: Poly, label=None) -> bool:
@@ -240,7 +238,7 @@ class SpanBasis:
         res, coords = self.reduce(vec)
         if np.any(res):
             return None
-        return coords
+        return _nonzero(coords)
 
     def contains(self, f: Poly) -> dict[int, int] | None:
         """Coordinates of f over the basis rows, or None when f is outside
@@ -251,19 +249,19 @@ class SpanBasis:
         return self.contains_vector(vec)
 
     def contains_combo(self, f: Poly) -> dict[int, int] | None:
-        """Like `contains`, but expressed over the inserted candidates
-        (requires track=True); keys index into `labels`."""
-        if not self.track:
-            raise ValueError("this basis was built without tracking")
-        coords = self.contains(f)
-        if coords is None:
+        """Like `contains`, but expressed over the grown candidates; keys
+        index into `labels`."""
+        vec = self.vector_of(f)
+        if vec is None:
             return None
-        combo: dict[int, int] = {}
-        p = self.char
-        for r, t in coords.items():
-            for cand, cf in self.combos[r].items():
-                combo[cand] = (combo.get(cand, 0) + t * cf) % p
-        return {cand: cf for cand, cf in combo.items() if cf}
+        res, coords = self.reduce(vec)
+        if np.any(res):
+            return None
+        return _nonzero(coords @ self.combos % self.char)
+
+
+def _nonzero(vec: np.ndarray) -> dict[int, int]:
+    return {int(i): int(vec[i]) for i in np.flatnonzero(vec)}
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,12 @@ class SpanBasis:
 def gamma_basis(deg: int, width: int, p: int, cap: int = DEFAULT_CAP) -> SpanBasis:
     """The full invariant space in one degree: one orbit sum per orbit."""
     basis = SpanBasis(p, p, deg, width, cap=cap)
-    eye = np.eye(basis.ncols, dtype=np.int64)
-    for j in range(basis.ncols):
-        basis.rows.append(eye[j])
-        basis.pivots.append(j)
+    n = basis.ncols
+    basis._aug = np.zeros((n, 2 * n), dtype=basis._aug.dtype)
+    j = np.arange(n)
+    basis._aug[j, j] = basis._aug[j, n + j] = 1  # [I | I]
+    basis.pivots = list(range(n))
+    basis.labels = [None] * n
     return basis
 
 
@@ -284,11 +284,7 @@ def p_algebra_generators(width: int, p: int) -> list[ExpTuple]:
     """All elementary-multisymmetric generator tuples at this width:
     nonzero beta with |beta| <= p and support within the first `width`
     columns."""
-    gens: set[ExpTuple] = set()
-    for d in range(1, p + 1):
-        for vec in _compositions(d, width):
-            gens.add(exp_tuple(vec))
-    return sorted(gens, key=lambda t: (tdeg(t), t))
+    return sorted(tuples_up_to(p, width), key=lambda t: (tdeg(t), t))
 
 
 def _generator_products(gens: list[ExpTuple], costs: list[tuple[int, ...]],
@@ -319,12 +315,12 @@ def _generator_products(gens: list[ExpTuple], costs: list[tuple[int, ...]],
         yield tuple(gens[i] for i in idx), product
 
 
-def p_algebra_span(deg: int, width: int, p: int, cap: int = DEFAULT_CAP,
-                   track: bool = True) -> SpanBasis:
+def p_algebra_span(deg: int, width: int, p: int,
+                   cap: int = DEFAULT_CAP) -> SpanBasis:
     """Span of all products of elementary multisymmetric generators of
-    total degree `deg` at the given width.  Labels (when tracked) are the
-    factor multisets, so membership queries can report explicit products."""
-    basis = SpanBasis(p, p, deg, width, cap=cap, track=track)
+    total degree `deg` at the given width.  Labels are the factor
+    multisets, so membership queries can report explicit products."""
+    basis = SpanBasis(p, p, deg, width, cap=cap)
     gens = p_algebra_generators(width, p)
     costs = [(tdeg(g),) for g in gens]
     for factors, product in _generator_products(gens, costs, (deg,), p, width):
@@ -342,7 +338,7 @@ def p_multidegree_span(coldegs: tuple[int, ...], p: int,
     polynomial reduces to zero against the partial span."""
     width = max(len(coldegs), 1)
     reps = orbit_reps_multidegree(p, coldegs)
-    basis = SpanBasis(p, p, sum(coldegs), width, reps=reps, cap=cap, track=True)
+    basis = SpanBasis(p, p, sum(coldegs), width, reps=reps, cap=cap)
     # High-degree generators first: their products have fewer factors, are
     # cheaper to expand, and tend to saturate the slice sooner.
     gens = sorted(
@@ -421,12 +417,8 @@ def square_span(deg: int, width: int, p: int, cap: int = DEFAULT_CAP) -> SpanBas
 
 def bounded_tuples(deg: int, width: int, bound: int) -> list[ExpTuple]:
     """Tuples of total degree `deg`, entries < bound, support in `width`."""
-    out = {
-        exp_tuple(vec)
-        for vec in _compositions(deg, width)
-        if all(e < bound for e in vec)
-    }
-    return sorted(out)
+    return [t for t in tuples_up_to(deg, width)
+            if tdeg(t) == deg and max(t) < bound]
 
 
 def predicted_generator_polys(deg: int, width: int, p: int) -> list[tuple[str, Poly]]:
@@ -487,7 +479,7 @@ def square_ideal_quotient(deg: int, width: int, p: int,
             independent = False
     spanning = sq.dim == dim_gamma
     dim_quotient = dim_gamma - dim_square
-    dim_p = p_algebra_span(deg, width, p, cap=cap, track=False).dim
+    dim_p = p_algebra_span(deg, width, p, cap=cap).dim
     return GradedDimReport(
         p=p, width=width, degree=deg,
         dim_gamma=dim_gamma, dim_p_algebra=dim_p,
@@ -547,46 +539,34 @@ def _apply_op(f: Poly, op) -> Poly:
     return f.scale_column(c, lam)
 
 
-def _closure_span(seed: Poly, width: int, cap: int, ops) -> SpanBasis:
-    deg = seed.homogeneous_degree
-    if deg is None:
-        raise ValueError("closure needs a homogeneous nonzero seed")
-    basis = SpanBasis(seed.char, seed.nrows, deg, width, cap=cap)
-    basis.insert_poly(seed)
-    frontier = [seed]
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for op in ops:
-                g = _apply_op(f, op)
-                if g.is_zero:
-                    continue
-                if basis.insert_vector(basis.vector_of(g)):
-                    fresh.append(g)
-        frontier = fresh
-    return basis
-
-
 def gl_span(f: Poly, width: int, cap: int = DEFAULT_CAP,
             divided_cap: int | None = None) -> SpanBasis:
     """Smallest subspace containing f that is closed under the divided
     polarizations, column permutations, and column scalings at this width.
     This finite operator family is the working proxy for the full column
     group action; `divided_cap` widens the polarization range (the default
-    stops below p) for cross-validation purposes."""
+    stops below p) for cross-validation purposes.  Any row count works,
+    so the one-row polynomial model closes the same way."""
     if f.is_zero:
         raise ValueError("gl_span of the zero polynomial is empty")
+    deg = f.homogeneous_degree
+    if deg is None:
+        raise ValueError("closure needs a homogeneous nonzero seed")
     ops = column_closure_ops(width, f.char, divided_cap=divided_cap)
-    return _closure_span(f, width, cap, ops)
-
-
-def single_row_closure(f: Poly, width: int, cap: int = DEFAULT_CAP,
-                       divided_cap: int | None = None) -> SpanBasis:
-    """The same closure computed in the one-row polynomial model."""
-    if f.nrows != 1:
-        raise ValueError("single-row closure expects a one-row polynomial")
-    ops = column_closure_ops(width, f.char, divided_cap=divided_cap)
-    return _closure_span(f, width, cap, ops)
+    basis = SpanBasis(f.char, f.nrows, deg, width, cap=cap)
+    basis.insert_poly(f)
+    frontier = [f]
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for op in ops:
+                h = _apply_op(g, op)
+                if h.is_zero:
+                    continue
+                if basis.insert_vector(basis.vector_of(h)):
+                    fresh.append(h)
+        frontier = fresh
+    return basis
 
 
 def embed_one_row(f: Poly, p: int) -> Poly:
@@ -613,14 +593,8 @@ def spans_equal(a: SpanBasis, b: SpanBasis) -> bool:
 def _partition_tuples(total_max: int, width: int) -> list[ExpTuple]:
     """Nonzero tuples with weakly decreasing entries, |alpha| <= total_max,
     support within `width` columns; column permutations reach the rest."""
-    out = []
-    for d in range(1, total_max + 1):
-        for vec in _compositions(d, width):
-            if all(vec[i] >= vec[i + 1] for i in range(len(vec) - 1)):
-                t = exp_tuple(vec)
-                if t:
-                    out.append(t)
-    return sorted(set(out))
+    return [t for t in tuples_up_to(total_max, width)
+            if all(a >= b for a, b in zip(t, t[1:]))]
 
 
 def ideal_truncation_span(gen_degree: int, deg: int, width: int, p: int,
@@ -649,9 +623,7 @@ def ideal_truncation_span(gen_degree: int, deg: int, width: int, p: int,
                     basis.insert_poly(g)
             continue
         if cof_deg not in pspan_cache:
-            pspan_cache[cof_deg] = p_algebra_span(
-                cof_deg, width, p, cap=cap, track=False
-            )
+            pspan_cache[cof_deg] = p_algebra_span(cof_deg, width, p, cap=cap)
         cof_rows = pspan_cache[cof_deg].row_polys()
         for g in closure.row_polys():
             for h in cof_rows:

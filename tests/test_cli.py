@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from multisym.cli import main
+from multisym.cli import build_parser, main
 from multisym.expressions import ParseError, parse_expression, recognize
 from multisym.invariants import elementary, elementary_column, power_sum
 from multisym.operators import frobenius_split
@@ -294,6 +294,20 @@ def test_env_var_defaults(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "eval", "M(1,1)")
     assert code == 0
     assert out.splitlines()[0].count("+") == 2  # three rows at p=3
+
+
+def test_parser_is_shared_and_env_is_read_per_call(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("MULTISYM_P", "3")
+    code3, out3, _ = run_cli(capsys, "eval", "M(1,1)", "--width", "2")
+    monkeypatch.delenv("MULTISYM_P")
+    code2, out2, _ = run_cli(capsys, "eval", "M(1,1)", "--width", "2")
+    assert code3 == code2 == 0
+    assert out3.splitlines()[0].count("+") == 2  # three rows at p=3
+    assert out2.splitlines()[0].count("+") == 1  # two rows at the default p=2
+    # a usage error on the shared parser leaves it working
+    assert run_cli(capsys, "eval")[0] == 2
+    assert run_cli(capsys, "eval", "M(1)")[0] == 0
 
 
 def test_config_validation(capsys):

@@ -9,6 +9,7 @@ from itertools import permutations
 
 import pytest
 
+from multisym.exptuples import compositions
 from multisym.invariants import (
     SymTensor, gamma, is_invariant, orbit_coefficients, orbit_key, orbit_min,
     orbit_size, orbit_sum, row_orbit, shuffle,
@@ -16,7 +17,7 @@ from multisym.invariants import (
 from multisym.operators import frobenius_split
 from multisym.poly import Monomial, Poly, frobenius, grlex_key, iter_monomials
 from multisym.selftest import random_invariant, random_one_row, random_poly
-from multisym.spans import _compositions, orbit_reps, orbit_reps_multidegree
+from multisym.spans import orbit_reps, orbit_reps_multidegree
 
 
 # -- permutation-based reference ----------------------------------------------
@@ -80,7 +81,7 @@ def test_orbit_reps_match_reference(p):
             assert orbit_reps(p, p, width, deg) == ref, (p, width, deg)
             for m in ref:
                 assert orbit_size(m, p) == len(ref_row_orbit(m, p))
-            for coldegs in _compositions(deg, width):
+            for coldegs in compositions(deg, width):
                 expected = [m for m in ref if m.column_degrees(width) == coldegs]
                 assert orbit_reps_multidegree(p, coldegs) == expected, (p, coldegs)
 

@@ -108,24 +108,24 @@ def test_multidegree_membership():
 def test_first_shortfall_degrees():
     # at width p+1 and degree p+1 the generator algebra misses the
     # all-ones power sum; below that the dimensions agree everywhere tested
-    assert p_algebra_span(3, 3, 2, track=False).dim == 27
+    assert p_algebra_span(3, 3, 2).dim == 27
     assert gamma_basis(3, 3, 2).dim == 28
     for d in range(1, 5):
-        assert p_algebra_span(d, 2, 2, track=False).dim == \
+        assert p_algebra_span(d, 2, 2).dim == \
             gamma_basis(d, 2, 2).dim
     for d in range(1, 4):
-        assert p_algebra_span(d, 3, 3, track=False).dim == \
+        assert p_algebra_span(d, 3, 3).dim == \
             gamma_basis(d, 3, 3).dim
     assert in_p_algebra(power_sum((1, 1, 1, 1), 3, 4)) is None
 
 
 def test_pth_power_in_literal_span():
     # the span-and-contains form of the p-th-power membership statement
-    b2 = p_algebra_span(4, 2, 2, track=False)
+    b2 = p_algebra_span(4, 2, 2)
     assert b2.contains(power_sum((2, 2), 2, 2)) is not None
-    b3 = p_algebra_span(6, 2, 3, track=False)
+    b3 = p_algebra_span(6, 2, 3)
     assert b3.contains(power_sum((3, 3), 3, 2)) is not None
-    b1 = p_algebra_span(2, 1, 2, track=False)
+    b1 = p_algebra_span(2, 1, 2)
     assert b1.contains(power_sum((2,), 2, 1)) is not None
 
 
