@@ -26,29 +26,36 @@ d+e available slots in all order-preserving ways.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
+from operator import add
 from typing import Iterator
 
-from .exptuples import ExpTuple, degree as tdeg, exp_tuple, length as tlen
+from .exptuples import (
+    ExpTuple, compositions, degree as tdeg, exp_tuple, length as tlen,
+)
 from .poly import Monomial, Poly
 
 # Symmetric tensors beyond this degree margin over p are out of scope.
 TENSOR_DEGREE_MARGIN = 4
 
 
+# A row multiset: a sorted tuple of equal-width row-exponent vectors.
+OrbitKey = tuple[tuple[int, ...], ...]
+
 _ORBIT_MIN_CACHE: dict[tuple, Monomial] = {}
 
 
-def orbit_key(m: Monomial, nrows: int) -> tuple[tuple[int, ...], ...]:
+def orbit_key(m: Monomial, nrows: int, width: int = 0) -> OrbitKey:
     """The row multiset of m: its `nrows` row-exponent vectors, padded to
-    the width of m, in ascending order.  Equal keys mean one row orbit."""
+    the width of m (or to `width` when that is wider), in ascending order.
+    Equal keys of one width mean one row orbit."""
     if m.max_row > nrows:
         raise ValueError(f"monomial {m} does not fit in {nrows} rows")
-    rows = [[0] * m.max_col for _ in range(nrows)]
+    rows = [[0] * max(m.max_col, width) for _ in range(nrows)]
     for r, c, e in m:
         rows[r - 1][c - 1] = e
     return tuple(sorted(map(tuple, rows)))
@@ -81,10 +88,7 @@ def row_orbit(m: Monomial, nrows: int) -> set[Monomial]:
 def orbit_size(m: Monomial, nrows: int) -> int:
     """Size of the row orbit of m: nrows! over the factorials of the row
     multiplicities."""
-    size = factorial(nrows)
-    for k in Counter(orbit_key(m, nrows)).values():
-        size //= factorial(k)
-    return size
+    return _orbit_size(tuple(Counter(orbit_key(m, nrows)).values()))
 
 
 def orbit_sum(m: Monomial, p: int, nrows: int | None = None) -> Poly:
@@ -116,6 +120,117 @@ def orbit_coefficients(f: Poly) -> dict[Monomial, int] | None:
     return coeffs
 
 
+def _classes(key: OrbitKey) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct rows of an orbit key and their multiplicities."""
+    values: list = []
+    mults: list[int] = []
+    for row in key:
+        if values and values[-1] == row:
+            mults[-1] += 1
+        else:
+            values.append(row)
+            mults.append(1)
+    return tuple(values), tuple(mults)
+
+
+def _orbit_size(mults: tuple[int, ...]) -> int:
+    """nrows! over the factorials of the row multiplicities."""
+    return factorial(sum(mults)) // prod(map(factorial, mults))
+
+
+@lru_cache(maxsize=1 << 14)
+def _tables(amults: tuple[int, ...], bmults: tuple[int, ...]):
+    """Every way to lay the rows of b, in classes of l_j equal rows
+    (bmults), onto the rows of a, in classes of k_i equal rows (amults):
+    the matrices n >= 0 with row sums k and column sums l.
+
+    A matrix is returned as the flat index i * len(bmults) + j of each row
+    pair, repeated n_ij times, with the number prod_i k_i! / prod_j n_ij!
+    of arrangements of b's rows against a's that it stands for.
+    """
+    nb = len(bmults)
+
+    def rec(i: int, left: tuple[int, ...]):
+        if i == len(amults):
+            yield (), 1
+            return
+        for split in compositions(amults[i], nb):
+            if all(n <= free for n, free in zip(split, left)):
+                rest = tuple(free - n for free, n in zip(left, split))
+                here = tuple(i * nb + j for j, n in enumerate(split)
+                             for _ in range(n))
+                for pairs, count in rec(i + 1, rest):
+                    yield here + pairs, _orbit_size(split) * count
+
+    return tuple(rec(0, bmults))
+
+
+@lru_cache(maxsize=1 << 16)
+def _shared(key: OrbitKey) -> OrbitKey:
+    """One stored copy of each orbit key, so that the memoized products
+    share their keys."""
+    return key
+
+
+def _orbit_pair(a: OrbitKey, b: OrbitKey) -> tuple:
+    """T_a * T_b over Z, flattened as m1, c1, m2, c2, ...: each orbit m of
+    the product with its coefficient |orb a| N(a, b, m) / |orb m|.
+
+    N(a, b, m) counts the distinct arrangements y of the rows of b for
+    which the rows of a + y form the multiset m; arrangements are counted
+    by classes of equal rows (`_tables`), never one by one.  The quotient
+    is the coefficient of the monomial m in T_a T_b, so the division is
+    exact in Z.  It is never taken mod p, because p may divide orbit
+    sizes.
+    """
+    avals, amults = _classes(a)
+    bvals, bmults = _classes(b)
+    at = [tuple(map(add, r, s)) for r in avals for s in bvals].__getitem__
+    count: dict[OrbitKey, int] = defaultdict(int)
+    for pairs, n in _tables(amults, bmults):
+        count[tuple(sorted(map(at, pairs)))] += n
+    size_a = _orbit_size(amults)
+    return tuple(
+        x for m, n in count.items()
+        for x in (_shared(m), size_a * n // _orbit_size(_classes(m)[1]))
+    )
+
+
+_memo_orbit_pair = lru_cache(maxsize=1 << 14)(_orbit_pair)
+
+
+def orbit_product(f: dict[OrbitKey, int], g: dict[OrbitKey, int],
+                  p: int) -> dict[OrbitKey, int]:
+    """The product of two invariants over GF(p), in orbit coordinates.
+
+    f and g map orbit keys (sorted row multisets, all with the same row
+    count and width) to coefficients; so does the result, whose zero
+    coefficients are dropped.  f * g = sum_b g_b sum_a f_a T_a T_b, with
+    the integer structure constants of T_a T_b from `_orbit_pair`.
+
+    T_a T_b is memoized when T_b is a generator E_beta (no row of b sums
+    to more than 1): the generator products of the spans are built factor
+    by factor from these, and their prefixes share most of their orbits,
+    so each such T_a T_b recurs.  A product by any other orbit (the
+    T_a T_b of `square_span`) rarely recurs, and is computed and not kept.
+    """
+    acc: dict[OrbitKey, int] = defaultdict(int)
+    for b, gb in g.items():
+        generator = all(sum(row) <= 1 for row in b)
+        pair = _memo_orbit_pair if generator else _orbit_pair
+        for a, fa in f.items():
+            coeff = fa * gb
+            terms = iter(pair(a, b))
+            for m, c in zip(terms, terms):
+                acc[m] += coeff * c
+    out: dict[OrbitKey, int] = {}
+    for m, c in acc.items():
+        c %= p
+        if c:
+            out[m] = c
+    return out
+
+
 def row_monomial(alpha: ExpTuple, r: int) -> Monomial:
     """The monomial prod_c x[r,c]^alpha_c living in row r."""
     return Monomial.of((r, c + 1, e) for c, e in enumerate(alpha) if e)
@@ -139,9 +254,29 @@ def power_sum(alpha, p: int, width: int) -> Poly:
     return Poly(p, p, terms)
 
 
+def elementary_key(alpha, p: int, width: int) -> OrbitKey:
+    """The orbit key of E_alpha (|alpha| <= p) at `width` columns: alpha_c
+    unit rows e_c for each column c, and p - |alpha| zero rows."""
+    alpha = exp_tuple(alpha)
+    if tdeg(alpha) > p:
+        raise ValueError(f"|{alpha}| = {tdeg(alpha)} exceeds p = {p}")
+    if tlen(alpha) > width:
+        raise ValueError(
+            f"tuple {alpha} has length {tlen(alpha)} > width {width}"
+        )
+    rows = [(0,) * width] * (p - tdeg(alpha))
+    for c, e in enumerate(alpha):
+        rows += [(0,) * c + (1,) + (0,) * (width - c - 1)] * e
+    return tuple(sorted(rows))
+
+
 def elementary(alpha, p: int, width: int) -> Poly:
     """E_alpha for |alpha| <= p: the orbit sum of the block monomial that
-    stacks alpha_c distinct rows with exponent 1 in each column c."""
+    stacks alpha_c distinct rows with exponent 1 in each column c.
+
+    Built apart from `elementary_key`, so the certificate verifier and the
+    tests that take their E_alpha from here check the spans' keys against
+    an independent construction."""
     alpha = exp_tuple(alpha)
     if tdeg(alpha) > p:
         raise ValueError(f"|{alpha}| = {tdeg(alpha)} exceeds p = {p}")

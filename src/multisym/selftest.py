@@ -17,17 +17,17 @@ from math import comb
 from .certify import Certificate, certify_power_sum, replay_matches, verify
 from .exptuples import exp_tuple, tuples_up_to
 from .invariants import (
-    SymTensor, elementary, gamma, is_invariant, orbit_sum, power_sum,
-    row_monomial, shuffle,
+    elementary, gamma, is_invariant, orbit_sum, power_sum, row_monomial,
+    shuffle,
 )
 from .operators import (
     check_newton_tilde, expand_newton_terms, flatten_tuple, frobenius_split,
-    newton_rewrite, newton_terms, polarize_elementary, polarize_raw,
-    power_to_elementary_one_column, validate_polarization_closed_form,
+    newton_rewrite, newton_terms, polarize_raw,
+    validate_polarization_closed_form,
 )
 from .poly import Monomial, Poly, frobenius
 from .spans import (
-    SpanBasis, embed_one_row, gamma_basis, gl_span, in_p_algebra, orbit_reps,
+    SpanBasis, embed_one_row, gamma_basis, gl_span, in_p_algebra,
     p_algebra_span, spans_equal, square_ideal_quotient,
 )
 

@@ -3,10 +3,20 @@
 Every subspace computation here works degree by degree.  Invariant
 polynomials are coordinatized over the orbit-sum basis: one coordinate
 column per row orbit, that is per multiset of p row-exponent vectors.
-Columns are enumerated directly as nondecreasing tuples of rows, named by
-the orbit's graded-lex minimal monomial (the rows in ascending order) and
-listed in graded-lex order, so pivots are canonical.  Echelon forms are
-reduced, so span membership is a single pass of back-substitution.
+Columns are enumerated directly as nondecreasing tuples of rows (the
+orbit key), named by the orbit's graded-lex minimal monomial (the rows in
+ascending order) and listed in graded-lex order, so pivots are canonical.
+Echelon forms are reduced, so span membership is a single pass of
+back-substitution.
+
+Products of invariants stay in orbit coordinates: the generator products,
+the products of two orbit sums in `square_span` and the closure times
+cofactor products of `ideal_truncation_span` are computed by
+`invariants.orbit_product` on key -> coefficient maps and inserted with
+`insert_coords`, so no product is expanded into monomials.  A `Poly`
+(a target, a predicted generator, a `gl_span` seed) enters through
+`vector_of`, which reads its orbit coefficients and maps them to a vector
+by the same key index.
 
 A SpanBasis always tracks, for every echelon row, its expression over
 the candidate polynomials that grew the span: each row is stored
@@ -30,8 +40,9 @@ from .exptuples import (
     ExpTuple, compositions, degree as tdeg, scale, tuples_up_to,
 )
 from .invariants import (
-    elementary, elementary_column, is_invariant, orbit_coefficients, orbit_sum,
-    power_sum, row_orbit, rows_monomial,
+    OrbitKey, elementary_column, elementary_key, is_invariant,
+    orbit_coefficients, orbit_key, orbit_product, power_sum, row_orbit,
+    rows_monomial,
 )
 from .operators import polarize_raw
 from .poly import Monomial, Poly, prefix_products
@@ -67,14 +78,19 @@ def _row_multisets(nrows: int, coldegs: tuple[int, ...]):
     yield from rec(nrows, (0,) * len(coldegs), coldegs)
 
 
+def orbit_keys(nrows: int, width: int, deg: int) -> list[OrbitKey]:
+    """The row orbits of degree-`deg` monomials in `width` columns, as
+    their row multisets (rows of that width), in graded-lex order."""
+    return sorted(
+        rows for coldegs in compositions(deg, width)
+        for rows in _row_multisets(nrows, coldegs)
+    )
+
+
 def orbit_reps(char: int, nrows: int, width: int, deg: int) -> list[Monomial]:
     """Canonical representatives of the row orbits of degree-`deg`
     monomials, in graded-lex order: one sorted row multiset per orbit."""
-    keys = [
-        rows for coldegs in compositions(deg, width)
-        for rows in _row_multisets(nrows, coldegs)
-    ]
-    return [rows_monomial(rows) for rows in sorted(keys)]
+    return [rows_monomial(rows) for rows in orbit_keys(nrows, width, deg)]
 
 
 def orbit_reps_multidegree(nrows: int, coldegs: tuple[int, ...]) -> list[Monomial]:
@@ -90,7 +106,10 @@ def orbit_reps_multidegree(nrows: int, coldegs: tuple[int, ...]) -> list[Monomia
 class SpanBasis:
     """A reduced-echelon GF(p) basis of a subspace of one graded piece.
 
-    Rows are coordinate vectors over the orbit-sum basis listed in `reps`.
+    Rows are coordinate vectors over the orbit-sum basis: column j is the
+    orbit whose key (sorted row multiset, rows of the basis width) is
+    keys[j], and whose graded-lex minimal monomial is reps[j].  The
+    columns are all orbits of the degree unless `keys` names them.
     Each row has a pivot column holding 1 that is zero in every other row,
     so reduction against the basis is deterministic and idempotent.
 
@@ -104,24 +123,24 @@ class SpanBasis:
     """
 
     def __init__(self, char: int, nrows: int, deg: int, width: int,
-                 reps: list[Monomial] | None = None,
+                 keys: list[OrbitKey] | None = None,
                  cap: int = DEFAULT_CAP):
         self.char = char
         self.nrows = nrows
         self.degree = deg
         self.width = width
-        if reps is None:
-            reps = orbit_reps(char, nrows, width, deg)
-        if len(reps) > cap:
+        if keys is None:
+            keys = orbit_keys(nrows, width, deg)
+        if len(keys) > cap:
             raise CapExceeded(
-                f"{len(reps)} coordinate columns exceed the cap {cap} "
+                f"{len(keys)} coordinate columns exceed the cap {cap} "
                 f"(degree {deg}, width {width})"
             )
-        self.reps = reps
-        self.index = {m: i for i, m in enumerate(reps)}
+        self.keys = keys
+        self.index = {key: i for i, key in enumerate(keys)}
         # dim <= ncols, so a buffer of c rows needs c combination columns
         residue = np.min_scalar_type(char - 1)
-        self._aug = np.zeros((0, len(reps)), dtype=residue)
+        self._aug = np.zeros((0, len(keys)), dtype=residue)
         self.pivots: list[int] = []
         self.labels: list = []
 
@@ -131,7 +150,13 @@ class SpanBasis:
 
     @property
     def ncols(self) -> int:
-        return len(self.reps)
+        return len(self.keys)
+
+    @property
+    def reps(self) -> list[Monomial]:
+        """The graded-lex minimal monomial of each column's orbit (built on
+        each access)."""
+        return [rows_monomial(key) for key in self.keys]
 
     @property
     def rows(self) -> np.ndarray:
@@ -148,22 +173,36 @@ class SpanBasis:
 
     # -- coordinates ---------------------------------------------------------
 
+    def vector(self, coeffs: dict[OrbitKey, int]) -> np.ndarray | None:
+        """The coordinate vector of an invariant given as orbit key ->
+        coefficient, or None when some key is not a column."""
+        vec = np.zeros(self.ncols, dtype=np.int64)
+        index = self.index
+        for key, c in coeffs.items():
+            j = index.get(key)
+            if j is None:
+                return None
+            vec[j] = c
+        return vec
+
+    def coords(self, vec: np.ndarray) -> dict[OrbitKey, int]:
+        """The orbit key -> coefficient map of a coordinate vector."""
+        return {self.keys[j]: int(vec[j]) for j in np.flatnonzero(vec)}
+
     def vector_of(self, f: Poly) -> np.ndarray | None:
         """Orbit-basis coordinates of f, or None when f is not a combination
         of the basis orbit sums (not invariant, or columns out of range).
         Raises on a homogeneous degree mismatch."""
         if f.char != self.char or f.nrows != self.nrows:
             raise ValueError("prime or row-count mismatch with this basis")
-        vec = np.zeros(self.ncols, dtype=np.int64)
-        if f.is_zero:
-            return vec
         coeffs = orbit_coefficients(f)
-        if coeffs is not None and all(rep in self.index for rep in coeffs):
-            for rep, c in coeffs.items():
-                vec[self.index[rep]] = c
-            return vec
-        # every rep in `index` has the basis degree, so only an f that is
-        # not a combination of them can have another degree
+        if coeffs is not None:
+            vec = self.vector({orbit_key(rep, self.nrows, self.width): c
+                               for rep, c in coeffs.items()})
+            if vec is not None:
+                return vec
+        # every column has the basis degree, so only an f that is not a
+        # combination of them can have another degree
         if f.homogeneous_degree != self.degree:
             raise ValueError(
                 f"degree mismatch: basis is graded in degree {self.degree}"
@@ -174,8 +213,8 @@ class SpanBasis:
         """The invariant with orbit-basis coordinates `vec`; orbits are
         disjoint, so each monomial takes its orbit's coordinate."""
         return Poly(self.char, self.nrows, {
-            m: int(vec[j]) for j in np.nonzero(vec)[0]
-            for m in row_orbit(self.reps[j], self.nrows)
+            m: c for key, c in self.coords(vec).items()
+            for m in row_orbit(rows_monomial(key), self.nrows)
         })
 
     def row_poly(self, idx: int) -> Poly:
@@ -225,7 +264,13 @@ class SpanBasis:
         return True
 
     def insert_poly(self, f: Poly, label=None) -> bool:
-        vec = self.vector_of(f)
+        return self._insert(self.vector_of(f), label)
+
+    def insert_coords(self, coeffs: dict[OrbitKey, int], label=None) -> bool:
+        """Add an invariant given as orbit key -> coefficient."""
+        return self._insert(self.vector(coeffs), label)
+
+    def _insert(self, vec: np.ndarray | None, label) -> bool:
         if vec is None:
             raise ValueError(
                 "candidate is not a combination of this basis's orbit sums"
@@ -287,13 +332,30 @@ def p_algebra_generators(width: int, p: int) -> list[ExpTuple]:
     return sorted(tuples_up_to(p, width), key=lambda t: (tdeg(t), t))
 
 
+class _Coords:
+    """An invariant in orbit coordinates (orbit key -> coefficient) that
+    multiplies with `orbit_product`, so `prefix_products` can take its
+    products."""
+
+    __slots__ = ("char", "coeffs")
+
+    def __init__(self, char: int, coeffs: dict[OrbitKey, int]):
+        self.char = char
+        self.coeffs = coeffs
+
+    def __mul__(self, other: "_Coords") -> "_Coords":
+        return _Coords(self.char,
+                       orbit_product(self.coeffs, other.coeffs, self.char))
+
+
 def _generator_products(gens: list[ExpTuple], costs: list[tuple[int, ...]],
                         budget: tuple[int, ...], p: int, width: int):
-    """(factors, product of E_g over the factors) for every multiset of
-    `gens` whose cost vectors sum to exactly `budget`, depth first with
-    factors in list order.  Leaves are enumerated as index tuples before
-    anything is multiplied; `prefix_products` then expands each shared
-    prefix once, and never one that no leaf extends."""
+    """(factors, product of E_g over the factors, in orbit coordinates at
+    `width` columns) for every multiset of `gens` whose cost vectors sum to
+    exactly `budget`, depth first with factors in list order.  Leaves are
+    enumerated as index tuples before anything is multiplied;
+    `prefix_products` then multiplies each shared prefix once, and never
+    one that no leaf extends."""
     def leaves(start: int, remaining: tuple[int, ...], acc: tuple[int, ...]):
         if not any(remaining):
             yield acc
@@ -303,16 +365,16 @@ def _generator_products(gens: list[ExpTuple], costs: list[tuple[int, ...]],
             if min(left) >= 0:
                 yield from leaves(idx, left, acc + (idx,))
 
-    epolys: dict[int, Poly] = {}
+    factors: dict[int, _Coords] = {}
 
-    def factor_poly(idx: int) -> Poly:
-        if idx not in epolys:
-            epolys[idx] = elementary(gens[idx], p, width)
-        return epolys[idx]
+    def factor(idx: int) -> _Coords:
+        if idx not in factors:
+            factors[idx] = _Coords(p, {elementary_key(gens[idx], p, width): 1})
+        return factors[idx]
 
-    for idx, product in prefix_products(
-            leaves(0, budget, ()), factor_poly, Poly.one(p, p)):
-        yield tuple(gens[i] for i in idx), product
+    one = _Coords(p, {((0,) * width,) * p: 1})
+    for idx, product in prefix_products(leaves(0, budget, ()), factor, one):
+        yield tuple(gens[i] for i in idx), product.coeffs
 
 
 def p_algebra_span(deg: int, width: int, p: int,
@@ -324,7 +386,7 @@ def p_algebra_span(deg: int, width: int, p: int,
     gens = p_algebra_generators(width, p)
     costs = [(tdeg(g),) for g in gens]
     for factors, product in _generator_products(gens, costs, (deg,), p, width):
-        basis.insert_poly(product, label=factors)
+        basis.insert_coords(product, label=factors)
     return basis
 
 
@@ -336,9 +398,10 @@ def p_multidegree_span(coldegs: tuple[int, ...], p: int,
     so membership of a multihomogeneous invariant only ever needs this
     slice.  With `stop_when_contains`, insertion stops as soon as the given
     polynomial reduces to zero against the partial span."""
-    width = max(len(coldegs), 1)
-    reps = orbit_reps_multidegree(p, coldegs)
-    basis = SpanBasis(p, p, sum(coldegs), width, reps=reps, cap=cap)
+    coldegs = tuple(coldegs) or (0,)  # the empty slice is degree 0 at width 1
+    width = len(coldegs)
+    basis = SpanBasis(p, p, sum(coldegs), width,
+                      keys=list(_row_multisets(p, coldegs)), cap=cap)
     # High-degree generators first: their products have fewer factors, are
     # cheaper to expand, and tend to saturate the slice sooner.
     gens = sorted(
@@ -351,8 +414,8 @@ def p_multidegree_span(coldegs: tuple[int, ...], p: int,
     if stop_when_contains is not None:
         target_vec = basis.vector_of(stop_when_contains)
     for factors, product in _generator_products(
-            gens, costs, tuple(coldegs), p, width):
-        grew = basis.insert_poly(product, label=factors)
+            gens, costs, coldegs, p, width):
+        grew = basis.insert_coords(product, label=factors)
         if grew and target_vec is not None:
             if basis.contains_vector(target_vec) is not None:
                 break
@@ -396,22 +459,15 @@ def in_p_algebra(f: Poly, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...],
 def square_span(deg: int, width: int, p: int, cap: int = DEFAULT_CAP) -> SpanBasis:
     """Degree-`deg` span of all products of two positive-degree invariants."""
     basis = SpanBasis(p, p, deg, width, cap=cap)
-    sums: dict[int, list[Poly]] = {}
+    keys: dict[int, list[OrbitKey]] = {}
     for a in range(1, deg // 2 + 1):
         for d in (a, deg - a):
-            if d not in sums:
-                sums[d] = [
-                    orbit_sum(m, p) for m in orbit_reps(p, p, width, d)
-                ]
-        left, right = sums[a], sums[deg - a]
-        if a == deg - a:
-            for i, f in enumerate(left):
-                for g in right[i:]:
-                    basis.insert_poly(f * g)
-        else:
-            for f in left:
-                for g in right:
-                    basis.insert_poly(f * g)
+            if d not in keys:
+                keys[d] = orbit_keys(p, width, d)
+        left, right = keys[a], keys[deg - a]
+        for i, ka in enumerate(left):
+            for kb in right[i:] if a == deg - a else right:
+                basis.insert_coords(orbit_product({ka: 1}, {kb: 1}, p))
     return basis
 
 
@@ -469,7 +525,7 @@ def square_ideal_quotient(deg: int, width: int, p: int,
     must be independent of the products and span the rest of the degree."""
     if deg < 1:
         raise ValueError("the quotient is only graded in positive degrees")
-    dim_gamma = len(orbit_reps(p, p, width, deg))
+    dim_gamma = len(orbit_keys(p, width, deg))
     sq = square_span(deg, width, p, cap=cap)
     dim_square = sq.dim
     predicted = predicted_generator_polys(deg, width, p)
@@ -610,22 +666,23 @@ def ideal_truncation_span(gen_degree: int, deg: int, width: int, p: int,
     `deg` (cofactor 1), which only matters at the generator degrees.
     """
     basis = SpanBasis(p, p, deg, width, cap=cap)
-    pspan_cache: dict[int, SpanBasis] = {}
+    cofactors: dict[int, list[dict[OrbitKey, int]]] = {}
     for alpha in _partition_tuples(gen_degree, width):
         gdeg = p * tdeg(alpha)
         if gdeg > deg:
             continue
         closure = gl_span(power_sum(scale(alpha, p), p, width), width, cap=cap)
+        closure_rows = [closure.coords(row) for row in closure.rows]
         cof_deg = deg - gdeg
         if cof_deg == 0:
             if include_generators:
-                for g in closure.row_polys():
-                    basis.insert_poly(g)
+                for g in closure_rows:
+                    basis.insert_coords(g)
             continue
-        if cof_deg not in pspan_cache:
-            pspan_cache[cof_deg] = p_algebra_span(cof_deg, width, p, cap=cap)
-        cof_rows = pspan_cache[cof_deg].row_polys()
-        for g in closure.row_polys():
-            for h in cof_rows:
-                basis.insert_poly(g * h)
+        if cof_deg not in cofactors:
+            cof = p_algebra_span(cof_deg, width, p, cap=cap)
+            cofactors[cof_deg] = [cof.coords(row) for row in cof.rows]
+        for g in closure_rows:
+            for h in cofactors[cof_deg]:
+                basis.insert_coords(orbit_product(g, h, p))
     return basis

@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .certify import Certificate, certify_pth_power, verify
-from .errors import CapExceeded
 from .exptuples import scale
 from .invariants import power_sum
 from .operators import frobenius_split
 from .spans import (
-    DEFAULT_CAP, SpanBasis, ideal_truncation_span, in_p_algebra, square_span,
+    DEFAULT_CAP, ideal_truncation_span, in_p_algebra, square_span,
 )
 
 

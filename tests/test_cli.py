@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from collections import Counter
+
 from multisym.cli import build_parser, main
+from multisym.exptuples import parse_tuple
 from multisym.expressions import ParseError, parse_expression, recognize
 from multisym.invariants import elementary, elementary_column, power_sum
-from multisym.operators import frobenius_split
-from multisym.poly import Monomial, Poly
+from multisym.poly import Monomial, Poly, frobenius
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +243,39 @@ def test_large_primes_finish(capsys):
         "generator combination:",
         "  1 * E(1,1) * E(1)",
     ]
+
+
+def expand_combination(obj) -> Poly:
+    """Re-expand a member report's generator combination through `Poly`
+    and `elementary`.  A factor repeated p times is expanded as the
+    Frobenius image of the factor (E^p = frobenius(E) in characteristic
+    p), which keeps E(1)^11 at p = 11 to 11 terms."""
+    p, width = obj["p"], obj["width"]
+    total = Poly.zero(p, p)
+    for component in obj["generator_combination"]:
+        for prod in component["products"]:
+            term = Poly.const(p, p, prod["coeff"])
+            for factor, k in Counter(prod["factors"]).items():
+                e = elementary(parse_tuple(factor), p, width)
+                for _ in range(k // p):
+                    term = term * frobenius(e)
+                for _ in range(k % p):
+                    term = term * e
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("expr,p,width", [
+    ("M(11)", 11, 1),  # ran without a bound while products were expanded
+    ("M(5,5)", 5, 2),  # 25 s with expanded products
+])
+def test_member_of_pth_powers_at_larger_primes(capsys, expr, p, width):
+    code, out, _ = run_cli(capsys, "member", expr, "--p", str(p),
+                           "--width", str(width), "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["in_polarization_algebra"] is True
+    assert expand_combination(obj) == parse_expression(expr, p, width)
 
 
 def test_mingens_text_and_json(capsys):

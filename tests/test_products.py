@@ -1,9 +1,11 @@
 """Differential tests for the shared generator-product expansion.
 
 `p_algebra_span`, `p_multidegree_span` and `expand_certificate` take their
-products from `poly.prefix_products`.  The eager recursions they replaced
-are kept here as references: they multiply every prefix while descending,
-whether or not a product below it is ever inserted.
+products from `poly.prefix_products`; the spans multiply in orbit
+coordinates (`invariants.orbit_product`).  The eager recursions they
+replaced are kept here as references: they multiply every prefix as a
+`Poly` while descending, whether or not a product below it is ever
+inserted.
 """
 
 import random
@@ -12,12 +14,15 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from multisym import spans
 from multisym.certify import (
     Certificate, certify_power_sum, certify_pth_power, expand_certificate,
     verify,
 )
 from multisym.exptuples import degree as tdeg
-from multisym.invariants import elementary, power_sum
+from multisym.invariants import (
+    elementary, orbit_coefficients, orbit_key, power_sum,
+)
 from multisym.poly import Poly, prefix_products, sum_of_products
 from multisym.spans import (
     SpanBasis, orbit_reps_multidegree, p_algebra_generators, p_algebra_span,
@@ -53,7 +58,8 @@ class _Done(Exception):
 def ref_p_multidegree_span(coldegs, p, stop_when_contains=None):
     width = max(len(coldegs), 1)
     reps = orbit_reps_multidegree(p, coldegs)
-    basis = SpanBasis(p, p, sum(coldegs), width, reps=reps)
+    basis = SpanBasis(p, p, sum(coldegs), width,
+                      keys=[orbit_key(m, p, width) for m in reps])
     gens = sorted(
         (g for g in p_algebra_generators(width, p)
          if all(e <= c for e, c in zip(g + (0,) * width, coldegs))),
@@ -135,8 +141,10 @@ def _prefix_product(factors, p, width):
                   Poly.one(p, p))
 
 
-def _key(f):
-    return frozenset(f.terms.items())
+def _key(f, width):
+    """A Poly invariant by its orbit coordinates at `width` columns."""
+    return frozenset((orbit_key(rep, f.nrows, width), c)
+                     for rep, c in orbit_coefficients(f).items())
 
 
 @pytest.mark.parametrize("p,coldegs,target", [
@@ -148,7 +156,12 @@ def test_only_prefixes_of_inserted_labels_are_expanded(
     width = len(coldegs)
     stop = None if target is None else power_sum(target, p, width)
     expanded, inserted = [], []
-    mul, insert = Poly.__mul__, SpanBasis.insert_vector
+    kernel, mul = spans.orbit_product, Poly.__mul__
+    insert = SpanBasis.insert_vector
+
+    def counted_kernel(f, g, char):
+        expanded.append(kernel(f, g, char))
+        return expanded[-1]
 
     def counted_mul(self, other):
         expanded.append(mul(self, other))
@@ -158,7 +171,7 @@ def test_only_prefixes_of_inserted_labels_are_expanded(
         inserted.append(label)
         return insert(self, vec, label=label)
 
-    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(spans, "orbit_product", counted_kernel)
     monkeypatch.setattr(SpanBasis, "insert_vector", recorded_insert)
     p_multidegree_span(coldegs, p, stop_when_contains=stop)
     monkeypatch.undo()
@@ -167,8 +180,9 @@ def test_only_prefixes_of_inserted_labels_are_expanded(
                 for k in range(1, len(label) + 1)}
     # each prefix of an inserted label is multiplied out once, nothing else
     assert len(expanded) == len(prefixes)
-    allowed = {_key(_prefix_product(pre, p, width)) for pre in prefixes}
-    assert {_key(f) for f in expanded} == allowed
+    allowed = {_key(_prefix_product(pre, p, width), width)
+               for pre in prefixes}
+    assert {frozenset(f.items()) for f in expanded} == allowed
 
     # the eager recursion inserts the same labels, but it also expands
     # prefixes that no inserted label extends

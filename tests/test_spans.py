@@ -3,9 +3,8 @@ from itertools import permutations
 import pytest
 
 from multisym.errors import CapExceeded
-from multisym.exptuples import exp_tuple
-from multisym.invariants import elementary, orbit_sum, power_sum
-from multisym.poly import Monomial, Poly, iter_monomials
+from multisym.invariants import elementary, power_sum
+from multisym.poly import Poly, iter_monomials
 from multisym.selftest import (
     suite_echelon, suite_gl_spans, suite_membership, suite_minimal_generators,
 )
